@@ -134,10 +134,17 @@ def read_wav(path: str | Path) -> SampleBuffer:
         raise WavFormatError(f"{path}: unsupported wFormatTag 0x{format_tag:04X} (need PCM or IEEE float)")
     if n_channels not in (1, 2):
         raise WavFormatError(f"{path}: nChannels = {n_channels}, only mono or stereo supported")
+    if sample_rate < MIN_SAMPLE_RATE_HZ:
+        raise WavFormatError(f"{path}: nSamplesPerSec = {sample_rate}, below {MIN_SAMPLE_RATE_HZ} Hz")
 
     if block_align:
         usable = len(data) - len(data) % block_align
         data = data[:usable]
+    elif bits in (16, 32) and len(data) % (bits // 8):
+        raise WavFormatError(
+            f"{path}: nBlockAlign = 0 and the {len(data)}-byte data chunk is not a whole "
+            f"number of {bits}-bit samples"
+        )
 
     if format_tag == _FMT_IEEE_FLOAT:
         if bits != 32:

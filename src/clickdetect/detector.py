@@ -16,6 +16,7 @@ meaningful on digital silence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -42,9 +43,6 @@ __all__ = [
 ]
 
 Label = Literal["connection_click", "other_transient"]
-
-_BLOCK_MAX = 2048  # frames per vectorized background block, grown adaptively
-_STREAK = 4  # clean frames required before switching back to block mode
 
 
 @dataclass(frozen=True)
@@ -160,113 +158,50 @@ def _background_and_flags(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Causal trailing-median background plus per-frame gate flags.
 
-    Frame t's background is the per-band median over clean (never-flagged)
-    frames within the trailing ``win`` frames; flagged frames are excluded so
-    the events being detected cannot inflate their own reference. The pass is
-    sequential by construction: clean stretches run in vectorized blocks whose
-    size doubles while nothing is flagged, and the neighborhoods of flagged
-    frames fall back to a scalar loop. Flagged rows are stored as +inf so a
-    single multi-index partition yields every window's median of clean rows.
+    Frame t's background is the per-band median of the clean (unflagged) frames
+    in [t - win, t), so the events being detected cannot inflate their own
+    reference. One forward pass keeps each band's clean window values sorted (a
+    running median after Haerdle & Steiger, AS 296): per frame it reads the
+    median, gates the frame, inserts it if clean and evicts frame t - win if
+    that was clean. An even count averages the two middle values, an empty
+    window keeps the previous background, and frame 0 is its own background.
+    The burst reference sums the burst bands' medians left to right.
     """
     T, nb = band_power.shape
     onset_ratio = 10.0 ** (sig.onset_threshold_db / 10.0)
     tail_ratio = 10.0 ** (sig.tail_threshold_db / 10.0)
     floor = 10.0 ** (sig.silence_floor_db / 10.0)
-    burst_ix = np.asarray(burst_cols, dtype=np.intp)
-    tail_ix = np.asarray(tail_cols, dtype=np.intp)
-    n_burst = burst_ix.size
+    burst_floor = floor * max(len(burst_cols), 1)
+    burst_total = band_power[:, list(burst_cols)].sum(axis=1)
 
-    burst_total = band_power[:, burst_ix].sum(axis=1) if n_burst else None
-    burst_floor = floor * max(n_burst, 1)
-    tail_power = band_power[:, tail_ix] if tail_ix.size else None
-
-    work = band_power.copy()  # flagged frames become +inf rows
-    is_clean = np.ones(T, dtype=bool)
     bg = np.empty_like(band_power)
     burst_mask = np.zeros(T, dtype=bool)
     tail_mask = np.zeros(T, dtype=bool)
-    flag_idx: list[int] = []
-    last_bg = band_power[0].copy()
-
-    t = 0
-    streak = 0
-    block = 64
-    while t < T:
-        if streak >= _STREAK and t >= win and t + 8 <= T:
-            end = min(T, t + block)
-            lo = t - win
-            view = np.lib.stride_tricks.sliding_window_view(work[lo:end], (win, nb))[: end - t, 0]
-            rows = np.arange(end - t)
-            flags = np.asarray(flag_idx)  # all < t by construction
-            n_flagged = np.searchsorted(flags, rows + t) - np.searchsorted(flags, rows + t - win)
-            clean_count = win - n_flagged  # >= streak >= _STREAK
-            k_lo = (clean_count - 1) // 2
-            k_hi = clean_count // 2
-            part = np.partition(view, np.unique(np.concatenate((k_lo, k_hi))), axis=1)
-            med = 0.5 * (part[rows, k_lo] + part[rows, k_hi])
-            if n_burst:
-                ref = np.maximum(med[:, burst_ix].sum(axis=1), burst_floor)
-                bflag = burst_total[t:end] >= onset_ratio * ref
-            else:
-                bflag = np.zeros(end - t, dtype=bool)
-            if tail_ix.size:
-                ref_t = np.maximum(med[:, tail_ix], floor)
-                tflag = (tail_power[t:end] >= tail_ratio * ref_t).any(axis=1)
-            else:
-                tflag = np.zeros(end - t, dtype=bool)
-            flagged = bflag | tflag
-            k = int(np.argmax(flagged)) if flagged.any() else end - t
-            stop = t + k
-            bg[t:stop] = med[:k]
-            burst_mask[t:stop] = bflag[:k]
-            tail_mask[t:stop] = tflag[:k]
-            if stop < end:  # first flagged frame of the block
-                bg[stop] = med[k]
-                burst_mask[stop] = bflag[k]
-                tail_mask[stop] = tflag[k]
-                work[stop] = np.inf
-                is_clean[stop] = False
-                flag_idx.append(stop)
-                last_bg = med[k]
-                streak = 0
-                block = 64  # events cut blocks short; restart small
-                t = stop + 1
-            else:
-                if k:
-                    last_bg = med[k - 1]
-                streak += k
-                block = min(block * 2, _BLOCK_MAX)
-                t = end
-            continue
-
-        # scalar path: warmup, and the neighborhood of flagged frames
-        lo = max(0, t - win)
-        if t == 0:
-            cur = band_power[0].copy()
-        else:
-            window = band_power[lo:t][is_clean[lo:t]]
-            cur = np.median(window, axis=0) if window.size else last_bg
-        bg[t] = cur
-        last_bg = cur
-        bhit = False
-        if n_burst:
-            ref = max(float(cur[burst_ix].sum()), burst_floor)
-            bhit = bool(burst_total[t] >= onset_ratio * ref)
-        thit = False
-        if tail_ix.size:
-            ref_t = np.maximum(cur[tail_ix], floor)
-            thit = bool((tail_power[t] >= tail_ratio * ref_t).any())
-        burst_mask[t] = bhit
-        tail_mask[t] = thit
-        if bhit or thit:
-            work[t] = np.inf
-            is_clean[t] = False
-            flag_idx.append(t)
-            streak = 0
-        else:
-            streak += 1
-        t += 1
-
+    clean = bytearray(T)
+    window: list[list[float]] = [[] for _ in range(nb)]
+    n = 0  # clean frames in the window, the same for every band
+    med = band_power[0].tolist()
+    for t in range(T):
+        if n:
+            k = n // 2
+            med = [col[k] for col in window] if n & 1 else [0.5 * (col[k - 1] + col[k]) for col in window]
+        bg[t] = med
+        row = band_power[t].tolist()
+        ref = 0.0
+        for c in burst_cols:
+            ref += med[c]
+        bhit = bool(burst_cols) and burst_total[t] >= onset_ratio * max(ref, burst_floor)
+        thit = any(row[c] >= tail_ratio * max(med[c], floor) for c in tail_cols)
+        burst_mask[t], tail_mask[t] = bhit, thit
+        if not (bhit or thit):
+            clean[t] = 1
+            n += 1
+            for col, v in zip(window, row):
+                insort(col, v)
+        if t >= win and clean[t - win]:
+            n -= 1
+            for col, v in zip(window, band_power[t - win].tolist()):
+                del col[bisect_left(col, v)]
     return bg, burst_mask, tail_mask
 
 

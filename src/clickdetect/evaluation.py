@@ -155,7 +155,8 @@ class BenchmarkResult:
         return "\n".join(lines)
 
 
-def _evaluate_clip(args: tuple[str, str, dict, float]) -> tuple[int, int, int]:
+def _evaluate_clip(args: tuple[str, str, dict, float]) -> tuple[int, int, int, float]:
+    """Match one clip's detections; returns (TP, FP, FN, audio seconds)."""
     wav_path, truth_path, params, tolerance_s = args
     detector = ClickDetector(**params)
     try:
@@ -163,7 +164,8 @@ def _evaluate_clip(args: tuple[str, str, dict, float]) -> tuple[int, int, int]:
     except (OSError, ValueError) as exc:
         raise RuntimeError(f"cannot evaluate clip {wav_path}: {exc}") from exc
     report = match_detections(detector.predict(buffer), read_truth_csv(truth_path), tolerance_s)
-    return report.true_positives, report.false_positives, report.false_negatives
+    seconds = len(buffer) / buffer.sample_rate_hz
+    return report.true_positives, report.false_positives, report.false_negatives, seconds
 
 
 def run_benchmark(
@@ -187,31 +189,30 @@ def run_benchmark(
     base = manifest_path.parent
 
     tasks = []
-    audio_seconds = 0.0
     for entry in entries:
         wav = str(base / entry["wav_path"])
         truth = str(base / entry["truth_path"])
         tasks.append((wav, truth, params, tolerance_s))
 
-    started = time.time()
+    started = time.perf_counter()
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             counts = list(pool.map(_evaluate_clip, tasks, chunksize=1))
     else:
         counts = [_evaluate_clip(task) for task in tasks]
-    runtime = time.time() - started
+    runtime = time.perf_counter() - started
 
     total = [0, 0, 0]
     by_snr_counts: dict[float, list[int]] = {}
-    for entry, (tp, fp, fn) in zip(entries, counts):
+    audio_seconds = 0.0
+    for entry, (tp, fp, fn, seconds) in zip(entries, counts):
         snr = float(entry["snr_db"])
         bucket = by_snr_counts.setdefault(snr, [0, 0, 0])
         for acc in (total, bucket):
             acc[0] += tp
             acc[1] += fp
             acc[2] += fn
-    for entry in entries:
-        audio_seconds += _wav_duration_s(base / entry["wav_path"])
+        audio_seconds += seconds
 
     by_snr = {snr: EvalReport.from_counts(*c) for snr, c in by_snr_counts.items()}
     return BenchmarkResult(
@@ -221,27 +222,6 @@ def run_benchmark(
         audio_seconds=audio_seconds,
         runtime_s=runtime,
     )
-
-
-def _wav_duration_s(path: Path) -> float:
-    import struct
-
-    with open(path, "rb") as handle:
-        header = handle.read(64)
-    if len(header) < 44 or header[:4] != b"RIFF":
-        return 0.0
-    rate = struct.unpack_from("<I", header, 24)[0]
-    # scan for the data chunk size without reading the payload
-    with open(path, "rb") as handle:
-        handle.seek(12)
-        while True:
-            chunk = handle.read(8)
-            if len(chunk) < 8:
-                return 0.0
-            cid, size = chunk[:4], struct.unpack("<I", chunk[4:])[0]
-            if cid == b"data":
-                return size / 2 / rate
-            handle.seek(size + (size & 1), 1)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ def tone(freq_hz: float, duration_s: float, amplitude: float = 1.0, rate: int = 
     return SampleBuffer(amplitude * np.sin(2 * np.pi * freq_hz * t), rate)
 
 
-def raw_wav_bytes(payload: bytes, *, fmt=1, channels=1, rate=RATE, bits=16) -> bytes:
+def raw_wav_bytes(payload: bytes, *, fmt=1, channels=1, rate=RATE, bits=16, block_align=None) -> bytes:
     """Independent WAV writer used as the reader's oracle."""
-    block = channels * bits // 8
+    block = channels * bits // 8 if block_align is None else block_align
     header = b"".join(
         [
             b"RIFF",

@@ -114,6 +114,24 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match="nChannels"):
             read_wav(path)
 
+    def test_low_header_rate_named(self, tmp_path):
+        path = tmp_path / "slow.wav"
+        path.write_bytes(raw_wav_bytes(b"\x00\x00" * 8, rate=4000))
+        with pytest.raises(WavFormatError, match="nSamplesPerSec = 4000"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("fmt, bits, size", [(1, 16, 5), (3, 32, 6)])
+    def test_zero_block_align_partial_sample_named(self, tmp_path, fmt, bits, size):
+        path = tmp_path / "ragged.wav"
+        path.write_bytes(raw_wav_bytes(b"\x00" * size, fmt=fmt, bits=bits, block_align=0))
+        with pytest.raises(WavFormatError, match="nBlockAlign = 0"):
+            read_wav(path)
+
+    def test_zero_block_align_whole_samples_read(self, tmp_path):
+        path = tmp_path / "unaligned.wav"
+        path.write_bytes(raw_wav_bytes(struct.pack("<2h", 16384, -16384), block_align=0))
+        np.testing.assert_allclose(read_wav(path).samples, [0.5, -0.5])
+
 
 class TestWriteWav:
     def test_round_trip_quantization_bound(self, tmp_path):

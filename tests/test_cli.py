@@ -7,7 +7,7 @@ from clickdetect.audio_io import SampleBuffer, write_wav
 from clickdetect.cli import main
 from clickdetect.soundscape import read_truth_csv
 
-from conftest import RATE, tone
+from conftest import RATE, raw_wav_bytes, tone
 
 
 def run(*argv) -> int:
@@ -31,6 +31,16 @@ class TestDetect:
         code = run("detect", str(tmp_path / "absent.wav"))
         assert code == 2
         assert "absent.wav" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, field",
+        [({"rate": 4000}, "nSamplesPerSec"), ({"block_align": 0}, "nBlockAlign")],
+    )
+    def test_malformed_header_exits_2(self, tmp_path, capsys, header, field):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw_wav_bytes(b"\x00" * 5, **header))
+        assert run("detect", str(path)) == 2
+        assert field in capsys.readouterr().err
 
     def test_short_buffer_exits_4(self, tmp_path):
         path = tmp_path / "blip.wav"

@@ -8,6 +8,7 @@ from clickdetect.detector import (
     ClickDetector,
     ClickSignature,
     DetectionEvent,
+    _background_and_flags,
     estimate_background,
     snr_db,
 )
@@ -110,6 +111,75 @@ class TestEstimateBackground:
         one_frame = stft(SampleBuffer(np.zeros(1024), RATE))
         with pytest.raises(ValueError):
             estimate_background(one_frame, bands)
+
+
+def reference_background_and_flags(band_power, burst_cols, tail_cols, sig, win):
+    """Brute force: np.median over each frame's clean trailing rows.
+
+    Also returns how many frames saw an empty, an even and an odd clean window,
+    and how many sat exactly on a gate's threshold.
+    """
+    T = len(band_power)
+    onset_ratio = 10.0 ** (sig.onset_threshold_db / 10.0)
+    tail_ratio = 10.0 ** (sig.tail_threshold_db / 10.0)
+    floor = 10.0 ** (sig.silence_floor_db / 10.0)
+    bg = np.empty_like(band_power)
+    burst = np.zeros(T, dtype=bool)
+    tail = np.zeros(T, dtype=bool)
+    seen = {"empty": 0, "even": 0, "odd": 0, "tie": 0}
+    for t in range(T):
+        lo = max(0, t - win)
+        clean_rows = band_power[lo:t][~(burst[lo:t] | tail[lo:t])]
+        if t == 0:
+            bg[t] = band_power[0]
+        elif len(clean_rows):
+            bg[t] = np.median(clean_rows, axis=0)
+            seen["odd" if len(clean_rows) % 2 else "even"] += 1
+        else:
+            bg[t] = bg[t - 1]
+            seen["empty"] += 1
+        if burst_cols:
+            ref = max(float(bg[t, burst_cols].sum()), floor * len(burst_cols))
+            burst[t] = band_power[t, burst_cols].sum() >= onset_ratio * ref
+            seen["tie"] += band_power[t, burst_cols].sum() == onset_ratio * ref
+        if tail_cols:
+            tail_ref = tail_ratio * np.maximum(bg[t, tail_cols], floor)
+            tail[t] = (band_power[t, tail_cols] >= tail_ref).any()
+            seen["tie"] += (band_power[t, tail_cols] == tail_ref).any()
+    return (bg, burst, tail), seen
+
+
+class TestBackgroundPass:
+    def test_matches_brute_force_median(self):
+        rng = np.random.default_rng(2024)
+        # Power ratios of exactly 16 and 4 let integer levels land on a threshold.
+        exact = ClickSignature(onset_threshold_db=12.041199826559248, tail_threshold_db=6.020599913279624)
+        seen = {"empty": 0, "even": 0, "odd": 0, "tie": 0}
+        short = 0
+        for case in range(240):
+            sig = exact if case % 2 else ClickSignature()
+            win = int(rng.integers(2, 41))
+            T = int(rng.integers(1, 3 * win + 2))
+            short += T < win
+            n_bands = int(rng.integers(1, 7))
+            # few distinct power-of-two levels, zeros included: ties everywhere
+            levels = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+            band_power = levels[rng.integers(0, levels.size, size=(T, n_bands))] * rng.choice([1e-6, 1.0])
+            for _ in range(int(rng.integers(0, 4))):
+                # loud stretches, some longer than the window, flag every frame
+                start = int(rng.integers(0, T))
+                band_power[start : start + int(rng.integers(1, 2 * win))] *= 1e4
+            cols = rng.permutation(n_bands).tolist()
+            split = int(rng.integers(0, min(n_bands, 4) + 1))
+            burst_cols, tail_cols = sorted(cols[:split]), sorted(cols[split:])
+
+            got = _background_and_flags(band_power, burst_cols, tail_cols, sig, win)
+            want, case_seen = reference_background_and_flags(band_power, burst_cols, tail_cols, sig, win)
+            for name, a, b in zip(("bg", "burst", "tail"), got, want):
+                assert np.array_equal(a, b), f"case {case}: {name} differs (T={T}, win={win})"
+            for key in seen:
+                seen[key] += case_seen[key]
+        assert short and all(seen.values()), (short, seen)
 
 
 class TestDetectEvents:

@@ -8,7 +8,7 @@ from clickdetect.evaluation import EvalReport, depth_sweep, match_detections, ru
 from clickdetect.soundscape import GroundTruth, ShroudModel, SimConfig, generate_corpus, pink_noise
 from clickdetect.spectral import band_powers, third_octave_bands
 
-from conftest import RATE
+from conftest import RATE, raw_wav_bytes
 
 
 def click_at(onset_s: float, label: str = "connection_click") -> DetectionEvent:
@@ -144,6 +144,20 @@ class TestRunBenchmark:
         result = run_benchmark(manifest)
         assert result.aggregate.accuracy == 1.0
         assert result.aggregate.true_positives == 0
+
+    def test_audio_seconds_from_decoded_samples(self, tmp_path):
+        # 2.5 s of 24-bit stereo: 6 bytes per sample frame, so a reader that
+        # assumed 16-bit mono would count 7.5 s.
+        frames = round(2.5 * RATE)
+        (tmp_path / "deep.wav").write_bytes(raw_wav_bytes(bytes(6 * frames), channels=2, bits=24))
+        (tmp_path / "deep.csv").write_text("time_s,label\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps([{"wav_path": "deep.wav", "truth_path": "deep.csv", "snr_db": 12.0, "seed": 0}])
+        )
+        result = run_benchmark(manifest)
+        assert result.audio_seconds == 2.5
+        assert result.clip_count == 1
 
     def test_unreadable_clip_aborts_named(self, small_corpus, tmp_path):
         entries = json.loads(small_corpus.read_text())
