@@ -8,6 +8,7 @@ at the point of mixing.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,17 +51,24 @@ class SampleBuffer:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if samples.size and not np.all(np.isfinite(samples)):
+        # min and max propagate NaN, so two reductions check both bounds
+        # without a full-size temporary.
+        lo, hi = (float(samples.min()), float(samples.max())) if samples.size else (0.0, 0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("samples contain non-finite values")
-        if samples.size and float(np.max(np.abs(samples))) > 1.0 + 1e-12:
+        if max(hi, -lo) > 1.0 + 1e-12:
             raise ValueError("samples exceed full scale [-1, 1]")
         rate = int(self.sample_rate_hz)
         if rate != self.sample_rate_hz or rate < MIN_SAMPLE_RATE_HZ:
             raise ValueError(
                 f"sample_rate_hz must be an integer >= {MIN_SAMPLE_RATE_HZ}, got {self.sample_rate_hz}"
             )
-        samples = samples.copy()
-        samples.flags.writeable = False  # shared freely across threads
+        # Frozen so it can be shared freely across threads. A writeable array
+        # or a view is copied first, so the caller's later writes cannot reach
+        # the buffer; a frozen array that owns its data is kept as it is.
+        if samples.flags.writeable or samples.base is not None:
+            samples = samples.copy()
+            samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", rate)
 
@@ -96,6 +104,7 @@ def read_wav(path: str | Path) -> SampleBuffer:
     """
     path = Path(path)
     raw = path.read_bytes()
+    view = memoryview(raw)  # slices of a view share the bytes instead of copying them
     if len(raw) < 12 or raw[:4] != b"RIFF":
         raise WavFormatError(f"{path}: missing RIFF chunk id (got {raw[:4]!r})")
     if raw[8:12] != b"WAVE":
@@ -107,7 +116,7 @@ def read_wav(path: str | Path) -> SampleBuffer:
     while pos + 8 <= len(raw):
         cid = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
             if len(body) < 16:
                 raise WavFormatError(f"{path}: fmt chunk truncated ({len(body)} bytes)")
@@ -152,7 +161,8 @@ def read_wav(path: str | Path) -> SampleBuffer:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
         samples = np.clip(samples, -1.0, 1.0)
     elif bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
+        samples /= 32768.0
     elif bits == 24:
         b = np.frombuffer(data, dtype=np.uint8)
         b = b[: (b.size // 3) * 3].reshape(-1, 3).astype(np.uint32)
@@ -165,6 +175,7 @@ def read_wav(path: str | Path) -> SampleBuffer:
 
     if n_channels == 2:
         samples = _mono(samples[: (samples.size // 2) * 2].reshape(-1, 2))
+    samples.flags.writeable = False  # nothing else holds it: SampleBuffer need not copy
     return SampleBuffer(samples, int(sample_rate))
 
 

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _DB_FLOOR_POWER = 1e-30  # -300 dB, stands in for log(0)
+_STFT_BLOCK = 256  # frames per FFT call in stft: 2 MiB of windowed samples at 1024
 
 
 class Band(NamedTuple):
@@ -96,9 +97,10 @@ def _hann(window_len: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / window_len)
 
 
-def _onesided_power(frames: np.ndarray) -> np.ndarray:
+def _onesided_power(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     spectrum = np.fft.rfft(frames, axis=-1)
-    power = np.abs(spectrum) ** 2
+    power = np.abs(spectrum, out=out)
+    np.square(power, out=power)
     if frames.shape[-1] % 2 == 0:
         power[..., 1:-1] *= 2.0  # DC and Nyquist appear once
     else:
@@ -121,7 +123,17 @@ def stft(buffer: SampleBuffer, window_len: int = 1024, hop: int = 256) -> Spectr
     if x.size < window_len:
         raise ValueError(f"buffer has {x.size} samples, shorter than one {window_len}-sample window")
     frames = np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop]
-    power = _onesided_power(frames * _hann(window_len))
+    window = _hann(window_len)
+    n_frames = frames.shape[0]
+    power = np.empty((n_frames, window_len // 2 + 1))
+    # Window and transform one block of frames at a time into one reused
+    # buffer, writing straight into ``power``: the windowed frames and their
+    # spectra never exist for the whole recording (~4x the size of ``power``).
+    windowed = np.empty((min(_STFT_BLOCK, n_frames), window_len))
+    for start in range(0, n_frames, _STFT_BLOCK):
+        block = windowed[: min(_STFT_BLOCK, n_frames - start)]
+        np.multiply(frames[start : start + len(block)], window, out=block)
+        _onesided_power(block, out=power[start : start + len(block)])
     return Spectrogram(power, hop, window_len, buffer.sample_rate_hz)
 
 

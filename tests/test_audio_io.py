@@ -11,18 +11,34 @@ from conftest import RATE, raw_wav_bytes, tone
 
 class TestSampleBuffer:
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="full scale"):
-            SampleBuffer(np.array([0.0, 1.5]), RATE)
+        SampleBuffer(np.array([-1.0, 1.0]), RATE)
+        for bad in (1.5, -1.5):
+            with pytest.raises(ValueError, match="full scale"):
+                SampleBuffer(np.array([0.0, bad]), RATE)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            SampleBuffer(np.array([0.0, np.nan]), RATE)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SampleBuffer(np.array([0.0, bad, 0.5]), RATE)
 
     def test_rejects_low_rate_and_2d(self):
         with pytest.raises(ValueError):
             SampleBuffer(np.zeros(10), 4000)
         with pytest.raises(ValueError):
             SampleBuffer(np.zeros((2, 5)), RATE)
+
+    def test_caller_writes_do_not_reach_buffer(self):
+        x = np.zeros(8)
+        buf = SampleBuffer(x, RATE)
+        x[0] = 0.5
+        assert buf.samples[0] == 0.0 and not buf.samples.flags.writeable
+        view = buf.samples[2:]
+        assert SampleBuffer(view, RATE).samples is not view
+
+    def test_frozen_owned_array_is_kept(self):
+        x = np.zeros(8)
+        x.flags.writeable = False
+        assert SampleBuffer(x, RATE).samples is x
 
     def test_duration_exact(self):
         buf = SampleBuffer(np.zeros(96000), RATE)

@@ -6,6 +6,7 @@ import pytest
 from clickdetect.audio_io import SampleBuffer
 from clickdetect.soundscape import SimConfig, pink_noise
 from clickdetect.spectral import (
+    _STFT_BLOCK,
     _hann,
     band_powers,
     frame_band_powers,
@@ -63,6 +64,18 @@ class TestStft:
         a = stft(x).power
         b = stft(x).power
         assert (a == b).all()
+
+    def test_blocked_transform_matches_one_shot(self, rng):
+        # Enough frames for several FFT blocks and a partial last one.
+        n_frames = 3 * _STFT_BLOCK + 7
+        x = 0.1 * rng.standard_normal(1024 + 256 * (n_frames - 1) + 100)
+        frames = np.lib.stride_tricks.sliding_window_view(x, 1024)[::256]
+        spec = stft(SampleBuffer(x, RATE), 1024, 256)
+        assert spec.n_frames == n_frames
+        # The one-shot transform over every frame, as a formula.
+        reference = np.abs(np.fft.rfft(frames * _hann(1024), axis=-1)) ** 2
+        reference[:, 1:-1] *= 2.0
+        assert np.array_equal(spec.power, reference)
 
     def test_rejects_bad_window_or_short_buffer(self):
         buf = SampleBuffer(np.zeros(4096), RATE)
