@@ -56,22 +56,15 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-#: Every signature/soundscape/model parameter reachable through config.
+_DETECTOR_DEFAULTS = ClickDetector().get_params()
+
+#: Every signature/soundscape/model parameter reachable through config; the
+#: detector's keys and parsers follow its parameters' defaults.
 CONFIG_SPEC: dict[str, type | object] = {
-    "burst_min_s": float,
-    "burst_max_s": float,
-    "burst_low_hz": float,
-    "tail_band_hz": _parse_pair,
-    "tail_min_s": float,
-    "tail_max_s": float,
-    "onset_threshold_db": float,
-    "tail_threshold_db": float,
-    "silence_floor_db": float,
-    "background_window_s": float,
-    "merge_window_s": float,
-    "window_len": int,
-    "hop": int,
-    "band_min_hz": float,
+    **{
+        key: {float: float, int: int, tuple: _parse_pair}[type(default)]
+        for key, default in _DETECTOR_DEFAULTS.items()
+    },
     "sample_rate_hz": int,
     "duration_s": float,
     "transient_rate_hz": float,
@@ -85,7 +78,6 @@ CONFIG_SPEC: dict[str, type | object] = {
     "gain_cap_db": float,
 }
 
-_DETECTOR_KEYS = set(ClickDetector._PARAM_NAMES)
 _SHROUD_KEYS = {"dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db"}
 
 
@@ -123,7 +115,7 @@ def load_config(path: str | None, set_args: list[str] | None) -> dict:
 
 
 def _detector_from(config: dict) -> ClickDetector:
-    params = {k: v for k, v in config.items() if k in _DETECTOR_KEYS}
+    params = {k: v for k, v in config.items() if k in _DETECTOR_DEFAULTS}
     return ClickDetector(**params)
 
 
@@ -186,8 +178,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrogram(args) -> int:
     config = load_config(args.config, args.set)
+    detector = _detector_from(config)
     buffer = read_wav(args.input)
-    spec = stft(buffer, config.get("window_len", 1024), config.get("hop", 256))
+    spec = stft(buffer, detector.window_len, detector.hop)
     spectrogram_image(spec, args.out, db_floor=args.floor_db)
     return EXIT_OK
 

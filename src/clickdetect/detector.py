@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal, Sequence
 
 import numpy as np
@@ -165,7 +165,8 @@ def _background_and_flags(
     median, gates the frame, inserts it if clean and evicts frame t - win if
     that was clean. An even count averages the two middle values, an empty
     window keeps the previous background, and frame 0 is its own background.
-    The burst reference sums the burst bands' medians left to right.
+    The burst reference sums the burst bands' medians left to right. Returns
+    the background, both masks and each frame's summed burst-band power.
     """
     T, nb = band_power.shape
     onset_ratio = 10.0 ** (sig.onset_threshold_db / 10.0)
@@ -202,7 +203,38 @@ def _background_and_flags(
             n -= 1
             for col, v in zip(window, band_power[t - win].tolist()):
                 del col[bisect_left(col, v)]
-    return bg, burst_mask, tail_mask
+    return bg, burst_mask, tail_mask, burst_total
+
+
+def _gate_pass(
+    spec: Spectrogram,
+    bands: Sequence[Band],
+    sig: ClickSignature,
+    window_s: float,
+    gated_only: bool,
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Select the burst and tail columns, then run the background pass.
+
+    Returns the burst columns and ``_background_and_flags``'s result. With
+    ``gated_only`` there must be burst and tail bands, the pass sees only
+    those, tail bands first, and the burst columns index that subset;
+    per-band results do not depend on column order, and the burst bands keep
+    theirs.
+    """
+    if window_s < 1.0:
+        raise ValueError(f"background window must be at least 1.0 s, got {window_s}")
+    burst_cols, tail_cols = _select_columns(bands, sig, spec.sample_rate_hz)
+    band_power = frame_band_powers(spec, bands)
+    if gated_only:
+        if not burst_cols:
+            raise ValueError(f"no band lies fully between burst_low_hz={sig.burst_low_hz} Hz and Nyquist")
+        if not tail_cols:
+            raise ValueError(f"no band centered inside tail_band_hz={sig.tail_band_hz}")
+        band_power = band_power[:, tail_cols + burst_cols]
+        n_tail = len(tail_cols)
+        tail_cols, burst_cols = list(range(n_tail)), list(range(n_tail, band_power.shape[1]))
+    win = max(2, round(window_s / spec.frame_hop_s))
+    return burst_cols, *_background_and_flags(band_power, burst_cols, tail_cols, sig, win)
 
 
 def estimate_background(
@@ -216,15 +248,10 @@ def estimate_background(
     ``signature`` supplies the thresholds used to flag event-candidate frames
     for exclusion; detector defaults apply when omitted.
     """
-    if window_s < 1.0:
-        raise ValueError(f"window_s must be at least 1.0 s, got {window_s}")
     if spec.n_frames < 2:
         raise ValueError(f"need at least 2 frames, got {spec.n_frames}")
     sig = signature if signature is not None else ClickSignature()
-    burst_cols, tail_cols = _select_columns(bands, sig, spec.sample_rate_hz)
-    band_power = frame_band_powers(spec, bands)
-    win = max(2, round(window_s / spec.frame_hop_s))
-    bg, _, _ = _background_and_flags(band_power, burst_cols, tail_cols, sig, win)
+    _, bg, _, _, _ = _gate_pass(spec, bands, sig, window_s, gated_only=False)
     return NoiseEstimate(bg, window_s)
 
 
@@ -274,29 +301,12 @@ def detect_events(
     nyquist = spec.sample_rate_hz / 2.0
     if sig.tail_band_hz[1] > nyquist * (1.0 + 1e-12):
         raise ValueError(f"tail band {sig.tail_band_hz} extends above Nyquist ({nyquist} Hz)")
-    burst_cols, tail_cols = _select_columns(bands, sig, spec.sample_rate_hz)
-    if not burst_cols:
-        raise ValueError(f"no band lies fully between burst_low_hz={sig.burst_low_hz} Hz and Nyquist")
-    if not tail_cols:
-        raise ValueError(f"no band centered inside tail_band_hz={sig.tail_band_hz}")
-
     # Median estimation is the hot path; run it only over the gated bands.
-    med_cols = sorted(set(burst_cols) | set(tail_cols))
-    remap = {col: i for i, col in enumerate(med_cols)}
-    band_power = frame_band_powers(spec, bands)[:, med_cols]
-    win = max(2, round(background_window_s / hop_s))
-    bg, burst_mask, tail_mask = _background_and_flags(
-        band_power,
-        [remap[c] for c in burst_cols],
-        [remap[c] for c in tail_cols],
-        sig,
-        win,
+    burst_cols, bg, burst_mask, tail_mask, burst_total = _gate_pass(
+        spec, bands, sig, background_window_s, gated_only=True
     )
-
     floor = 10.0 ** (sig.silence_floor_db / 10.0)
-    burst_sub = [remap[c] for c in burst_cols]
-    burst_total = band_power[:, burst_sub].sum(axis=1)
-    bg_burst = np.maximum(bg[:, burst_sub].sum(axis=1), floor * len(burst_cols))
+    bg_burst = np.maximum(bg[:, burst_cols].sum(axis=1), floor * len(burst_cols))
 
     T = spec.n_frames
     events: list[DetectionEvent] = []
@@ -341,95 +351,61 @@ def _merge_events(events: list[DetectionEvent], merge_window_s: float) -> list[D
     return merged
 
 
+@dataclass(frozen=True)
+class _FrontEnd:
+    """The detector's parameters outside the signature: analysis and windows."""
+
+    background_window_s: float = 2.0
+    merge_window_s: float = 0.5
+    window_len: int = 1024
+    hop: int = 256
+    band_min_hz: float = 100.0
+
+    def __post_init__(self) -> None:
+        if self.background_window_s < 1.0:
+            raise ValueError("background_window_s must be at least 1.0 s")
+        if self.merge_window_s <= 0:
+            raise ValueError("merge_window_s must be positive")
+
+
 class ClickDetector:
     """Estimator-style detector: parameters at construction, `predict` on audio.
 
     Follows the scikit-learn parameter protocol (`get_params` / `set_params`,
     parameters stored verbatim under their constructor names, stateless
     `fit`), so instances compose with that ecosystem's tooling. `detect` is
-    the domain-named alias for `predict`.
+    the domain-named alias for `predict`. The parameters and their defaults
+    are the fields of `ClickSignature` and of the front-end settings.
     """
 
-    _PARAM_NAMES = (
-        "burst_min_s",
-        "burst_max_s",
-        "burst_low_hz",
-        "tail_band_hz",
-        "tail_min_s",
-        "tail_max_s",
-        "onset_threshold_db",
-        "tail_threshold_db",
-        "silence_floor_db",
-        "background_window_s",
-        "merge_window_s",
-        "window_len",
-        "hop",
-        "band_min_hz",
-    )
+    _PARAMS = fields(ClickSignature) + fields(_FrontEnd)
 
-    def __init__(
-        self,
-        *,
-        burst_min_s: float = 0.02,
-        burst_max_s: float = 0.10,
-        burst_low_hz: float = 8000.0,
-        tail_band_hz: tuple[float, float] = (1000.0, 8000.0),
-        tail_min_s: float = 0.10,
-        tail_max_s: float = 0.50,
-        onset_threshold_db: float = 12.0,
-        tail_threshold_db: float = 6.0,
-        silence_floor_db: float = -120.0,
-        background_window_s: float = 2.0,
-        merge_window_s: float = 0.5,
-        window_len: int = 1024,
-        hop: int = 256,
-        band_min_hz: float = 100.0,
-    ) -> None:
-        self.burst_min_s = burst_min_s
-        self.burst_max_s = burst_max_s
-        self.burst_low_hz = burst_low_hz
-        self.tail_band_hz = tail_band_hz
-        self.tail_min_s = tail_min_s
-        self.tail_max_s = tail_max_s
-        self.onset_threshold_db = onset_threshold_db
-        self.tail_threshold_db = tail_threshold_db
-        self.silence_floor_db = silence_floor_db
-        self.background_window_s = background_window_s
-        self.merge_window_s = merge_window_s
-        self.window_len = window_len
-        self.hop = hop
-        self.band_min_hz = band_min_hz
+    def __init__(self, **params) -> None:
+        for field in self._PARAMS:
+            setattr(self, field.name, field.default)
+        self.set_params(**params)
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
+        return {field.name: getattr(self, field.name) for field in self._PARAMS}
 
     def set_params(self, **params) -> "ClickDetector":
+        known = self.get_params()
         for name, value in params.items():
-            if name not in self._PARAM_NAMES:
+            if name not in known:
                 raise ValueError(f"unknown parameter {name!r} for ClickDetector")
             setattr(self, name, value)
         return self
 
+    def _values(self, cls) -> dict:
+        return {field.name: getattr(self, field.name) for field in fields(cls)}
+
     def signature(self) -> ClickSignature:
-        return ClickSignature(
-            burst_min_s=self.burst_min_s,
-            burst_max_s=self.burst_max_s,
-            burst_low_hz=self.burst_low_hz,
-            tail_band_hz=tuple(self.tail_band_hz),
-            tail_min_s=self.tail_min_s,
-            tail_max_s=self.tail_max_s,
-            onset_threshold_db=self.onset_threshold_db,
-            tail_threshold_db=self.tail_threshold_db,
-            silence_floor_db=self.silence_floor_db,
-        )
+        return ClickSignature(**{**self._values(ClickSignature), "tail_band_hz": tuple(self.tail_band_hz)})
 
     def fit(self, X=None, y=None) -> "ClickDetector":
         """Stateless; validates parameters and returns self."""
         self.signature()
-        if self.background_window_s < 1.0:
-            raise ValueError("background_window_s must be at least 1.0 s")
-        if self.merge_window_s <= 0:
-            raise ValueError("merge_window_s must be positive")
+        _FrontEnd(**self._values(_FrontEnd))
         return self
 
     def bands_for(self, sample_rate_hz: int) -> list[Band]:
@@ -437,14 +413,15 @@ class ClickDetector:
         return _bands_within_nyquist(bands, sample_rate_hz)
 
     def predict(self, buffer: SampleBuffer) -> list[DetectionEvent]:
-        self.fit()
-        spec = stft(buffer, self.window_len, self.hop)
+        sig = self.signature()
+        front = _FrontEnd(**self._values(_FrontEnd))
+        spec = stft(buffer, front.window_len, front.hop)
         return detect_events(
             spec,
-            self.signature(),
+            sig,
             self.bands_for(buffer.sample_rate_hz),
-            background_window_s=self.background_window_s,
-            merge_window_s=self.merge_window_s,
+            background_window_s=front.background_window_s,
+            merge_window_s=front.merge_window_s,
         )
 
     def detect(self, buffer: SampleBuffer) -> list[DetectionEvent]:

@@ -184,6 +184,19 @@ def run_benchmark(
     entries = json.loads(manifest_path.read_text())
     if not isinstance(entries, list):
         raise ValueError(f"{manifest_path}: manifest must be a JSON list")
+    # Check every entry before any clip runs, so a bad one cannot waste a run.
+    required = {
+        "wav_path": (str, "a string"),
+        "truth_path": (str, "a string"),
+        "snr_db": ((int, float), "a number"),
+    }
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{manifest_path}: entry {i} is not a JSON object")
+        for key, (kind, what) in required.items():
+            value = entry.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{manifest_path}: entry {i}: {key!r} is missing or not {what}")
     detector = detector if detector is not None else ClickDetector()
     params = detector.get_params()
     base = manifest_path.parent

@@ -1,10 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clickdetect.audio_io import SampleBuffer, write_wav
-from clickdetect.cli import main
+from clickdetect.cli import CONFIG_SPEC, main
+from clickdetect.detector import ClickDetector
 from clickdetect.soundscape import read_truth_csv
 
 from conftest import RATE, raw_wav_bytes, tone
@@ -71,6 +74,20 @@ class TestDetect:
         assert out.read_text() == ""
 
 
+class TestConfig:
+    def test_detector_keys_parse_their_defaults(self):
+        defaults = ClickDetector().get_params()
+        for key, default in defaults.items():
+            text = "1000,8000" if key == "tail_band_hz" else str(default)
+            assert CONFIG_SPEC[key](text) == default, key
+
+    def test_readme_lists_the_detector_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1].split("```", 2)[1]
+        listed = {key: CONFIG_SPEC[key](raw) for key, raw in re.findall(r"(\w+) = (\S+)", section)}
+        assert listed == ClickDetector().get_params()
+
+
 class TestSimulate:
     def test_zero_clicks_header_only_truth(self, tmp_path):
         assert run("simulate", "--out-dir", str(tmp_path), "--clicks", "0",
@@ -113,14 +130,22 @@ class TestSimulate:
 
 
 class TestSpectrogramAndBands:
-    def test_spectrogram_dimensions(self, tmp_path):
+    @pytest.mark.parametrize(
+        "settings, size",
+        [
+            ((), ((RATE - 1024) // 256 + 1, 513)),
+            (("--set", "window_len=512", "--set", "hop=128"), ((RATE - 512) // 128 + 1, 257)),
+        ],
+        ids=["defaults", "window_len_512"],
+    )
+    def test_spectrogram_dimensions(self, tmp_path, settings, size):
         wav = tmp_path / "tone.wav"
         write_wav(tone(1000.0, 1.0, 0.5), wav)
         img = tmp_path / "spec.pgm"
-        assert run("spectrogram", str(wav), "--out", str(img), "--floor-db", "-70") == 0
+        assert run("spectrogram", str(wav), "--out", str(img), "--floor-db", "-70", *settings) == 0
         header = img.read_bytes().split(b"\n", 3)
         w, h = (int(v) for v in header[1].split())
-        assert (w, h) == ((RATE - 1024) // 256 + 1, 513)
+        assert (w, h) == size
 
     def test_bands_peak_row_is_1khz(self, tmp_path, capsys):
         wav = tmp_path / "tone.wav"
@@ -164,3 +189,9 @@ class TestEvaluateCommand:
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run("evaluate", str(tmp_path / "nope.json")) == 2
+
+    def test_malformed_manifest_exits_4(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"wav_path": "x.wav"}]))
+        assert run("evaluate", str(manifest)) == 4
+        assert "truth_path" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from clickdetect.detector import (
     ClickSignature,
     DetectionEvent,
     _background_and_flags,
+    _FrontEnd,
+    detect_events,
     estimate_background,
     snr_db,
 )
@@ -302,6 +305,12 @@ class TestDetectEvents:
         with pytest.raises(ValueError, match="coarse"):
             detector.predict(SampleBuffer(np.zeros(2 * RATE), RATE))
 
+    def test_short_background_window_rejected(self):
+        spec = stft(SampleBuffer(np.zeros(3 * RATE), RATE))
+        bands = ClickDetector().bands_for(RATE)
+        with pytest.raises(ValueError, match="at least 1.0 s"):
+            detect_events(spec, ClickSignature(), bands, background_window_s=0.5)
+
 
 class TestDetectionEvent:
     def test_score_bounds_enforced(self):
@@ -326,12 +335,21 @@ class TestClickDetectorEstimator:
         assert detector.tail_threshold_db == 4.0
         with pytest.raises(ValueError, match="unknown parameter"):
             detector.set_params(nonsense=1)
+        with pytest.raises(ValueError, match="unknown parameter"):
+            ClickDetector(nonsense=1)
+
+    def test_params_are_the_dataclass_fields(self):
+        params = ClickDetector().get_params()
+        fields = dataclasses.fields(ClickSignature) + dataclasses.fields(_FrontEnd)
+        assert list(params) == [f.name for f in fields]
+        assert all(params[f.name] == f.default for f in fields)
 
     def test_fit_is_stateless_and_validates(self):
         detector = ClickDetector()
         assert detector.fit() is detector
-        with pytest.raises(ValueError):
-            ClickDetector(burst_min_s=0.5, burst_max_s=0.1).fit()
+        for bad in ({"burst_min_s": 0.5, "burst_max_s": 0.1}, {"background_window_s": 0.5}, {"merge_window_s": 0.0}):
+            with pytest.raises(ValueError):
+                ClickDetector(**bad).fit()
 
     def test_detect_aliases_predict(self):
         buf = click_in_silence(4)

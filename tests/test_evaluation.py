@@ -172,6 +172,25 @@ class TestRunBenchmark:
         with pytest.raises(RuntimeError, match="missing.wav"):
             run_benchmark(broken)
 
+    @pytest.mark.parametrize(
+        "entries, named",
+        [
+            ([{"wav_path": "x.wav"}], "entry 0: 'truth_path'"),
+            (["a"], "entry 0 is not a JSON object"),
+            # the first clip is unreadable, so the check must come before any clip runs
+            ([{"wav_path": "missing.wav", "truth_path": "t.csv", "snr_db": 6.0},
+              {"wav_path": "x.wav", "truth_path": "t.csv"}], "entry 1: 'snr_db'"),
+            ([{"wav_path": "x.wav", "truth_path": "t.csv", "snr_db": "loud"}], "entry 0: 'snr_db'"),
+        ],
+        ids=["no_truth_path", "not_an_object", "no_snr_db_after_a_bad_clip", "text_snr_db"],
+    )
+    def test_malformed_manifest_rejected_before_any_clip(self, tmp_path, entries, named):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match=named) as info:
+            run_benchmark(manifest)
+        assert "m.json" in str(info.value)
+
     def test_report_formats(self, small_corpus):
         result = run_benchmark(small_corpus)
         text = result.format_text()
