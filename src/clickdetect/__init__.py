@@ -1,89 +1,20 @@
 """Detection and classification of connector click events in industrial audio,
 plus the seeded soundscape synthesis needed to test it without hardware."""
 
-from .audio_io import SampleBuffer, WavFormatError, read_wav, slice_buffer, write_wav
-from .detector import (
-    ClickDetector,
-    ClickSignature,
-    DetectionEvent,
-    NoiseEstimate,
-    detect_events,
-    estimate_background,
-    snr_db,
-)
-from .evaluation import (
-    BenchmarkResult,
-    DepthSweep,
-    EvalReport,
-    depth_sweep,
-    match_detections,
-    run_benchmark,
-)
-from .soundscape import (
-    GroundTruth,
-    ShroudModel,
-    SimConfig,
-    apply_shroud,
-    factory_noise,
-    generate_corpus,
-    mix_at_snr,
-    pink_noise,
-    read_truth_csv,
-    spaced_click_times,
-    synth_click,
-    write_truth_csv,
-)
-from .spectral import (
-    Band,
-    BandPowerProfile,
-    Spectrogram,
-    band_powers,
-    frame_band_powers,
-    spectrogram_image,
-    stft,
-    third_octave_bands,
-)
+from . import audio_io, detector, evaluation, soundscape, spectral
+from .audio_io import *  # noqa: F401,F403 - each module's __all__ is its public API
+from .detector import *  # noqa: F401,F403
+from .evaluation import *  # noqa: F401,F403
+from .soundscape import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SampleBuffer",
-    "WavFormatError",
-    "read_wav",
-    "write_wav",
-    "slice_buffer",
-    "Spectrogram",
-    "Band",
-    "BandPowerProfile",
-    "stft",
-    "third_octave_bands",
-    "band_powers",
-    "frame_band_powers",
-    "spectrogram_image",
-    "ClickSignature",
-    "NoiseEstimate",
-    "DetectionEvent",
-    "ClickDetector",
-    "estimate_background",
-    "detect_events",
-    "snr_db",
-    "SimConfig",
-    "GroundTruth",
-    "ShroudModel",
-    "pink_noise",
-    "factory_noise",
-    "synth_click",
-    "mix_at_snr",
-    "apply_shroud",
-    "spaced_click_times",
-    "generate_corpus",
-    "write_truth_csv",
-    "read_truth_csv",
-    "EvalReport",
-    "BenchmarkResult",
-    "DepthSweep",
-    "match_detections",
-    "run_benchmark",
-    "depth_sweep",
+    *audio_io.__all__,
+    *spectral.__all__,
+    *detector.__all__,
+    *soundscape.__all__,
+    *evaluation.__all__,
     "__version__",
 ]

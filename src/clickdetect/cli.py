@@ -14,20 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .audio_io import WavFormatError, read_wav, write_wav
+from .audio_io import WavFormatError, read_wav
 from .detector import ClickDetector
 from .evaluation import depth_sweep, run_benchmark
-from .soundscape import (
-    ShroudModel,
-    SimConfig,
-    factory_noise,
-    mix_at_snr,
-    spaced_click_times,
-    synth_click,
-    write_truth_csv,
-)
+from .soundscape import ShroudModel, SimConfig, _write_clip
 from .spectral import band_powers, spectrogram_image, stft, third_octave_bands
 
 EXIT_OK = 0
@@ -150,29 +140,17 @@ def cmd_simulate(args) -> int:
     clicks = args.clicks if args.clicks is not None else config.get("clicks", 3)
     transient_rate = config.get("transient_rate_hz", 0.5)
 
-    rng = np.random.default_rng(seed)
-    times = spaced_click_times(clicks, duration, rng)
     cfg = SimConfig(
-        sample_rate_hz=rate,
-        seed=seed,
-        duration_s=duration,
-        transient_rate_hz=transient_rate,
-        click_times_s=times,
-        target_snr_db=snr,
+        sample_rate_hz=rate, seed=seed, duration_s=duration, transient_rate_hz=transient_rate, target_snr_db=snr
     )
-    mix, truth = mix_at_snr(synth_click(rate, seed), factory_noise(cfg), cfg)
-
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(mix, out_dir / "mix.wav")
-    write_truth_csv(truth, out_dir / "truth.csv")
+    entry = _write_clip(out_dir, "mix.wav", "truth.csv", cfg, clicks)
 
     manifest_path = out_dir / "manifest.json"
     entries = json.loads(manifest_path.read_text()) if manifest_path.exists() else []
-    entry = {"wav_path": "mix.wav", "truth_path": "truth.csv", "snr_db": float(snr), "seed": int(seed)}
     entries = [e for e in entries if e.get("wav_path") != "mix.wav"] + [entry]
     manifest_path.write_text(json.dumps(entries, indent=1))
-    print(f"wrote {out_dir / 'mix.wav'} ({duration:g} s, {len(times)} clicks, {snr:+g} dB)")
+    print(f"wrote {out_dir / 'mix.wav'} ({duration:g} s, {clicks} clicks, {snr:+g} dB)")
     return EXIT_OK
 
 
@@ -200,8 +178,8 @@ def cmd_depth_sweep(args) -> int:
     )
     cfg = SimConfig(
         sample_rate_hz=config.get("sample_rate_hz", 48000),
-        seed=args.seed,
-        duration_s=args.duration,
+        seed=args.seed if args.seed is not None else config.get("seed", 0),
+        duration_s=args.duration if args.duration is not None else config.get("duration_s", 16.0),
     )
     table = depth_sweep(_shroud_from(config), depths, cfg)
     _write_text(args.out, table.as_csv())
@@ -253,8 +231,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("depth-sweep", parents=[common], help="band powers vs shroud inset depth (CSV)")
     p.add_argument("--depths", help="comma-separated depths in meters (default 0..0.6096 in 3-in steps)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=16.0)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--duration", type=float, default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_depth_sweep)
 

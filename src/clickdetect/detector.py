@@ -16,6 +16,7 @@ meaningful on digital silence.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from typing import Literal, Sequence
@@ -71,13 +72,40 @@ class ClickSignature:
             raise ValueError(f"need 0 < tail_min_s < tail_max_s, got ({self.tail_min_s}, {self.tail_max_s})")
         if self.onset_threshold_db <= 0.0 or self.tail_threshold_db <= 0.0:
             raise ValueError("thresholds must be positive dB values")
-        lo, hi = self.tail_band_hz
+        try:
+            lo, hi = self.tail_band_hz
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not all(isinstance(v, numbers.Real) for v in (lo, hi)):
+            raise ValueError(f"tail_band_hz must be a pair of numbers, got {self.tail_band_hz!r}")
+        object.__setattr__(self, "tail_band_hz", (lo, hi))
         if not 0.0 < lo < hi:
             raise ValueError(f"tail_band_hz must be an increasing positive pair, got {self.tail_band_hz}")
         if self.burst_low_hz <= 0.0:
             raise ValueError(f"burst_low_hz must be positive, got {self.burst_low_hz}")
         if self.silence_floor_db >= 0.0:
             raise ValueError(f"silence_floor_db must be negative, got {self.silence_floor_db}")
+
+
+@dataclass(frozen=True)
+class _FrontEnd:
+    """The detector's parameters outside the signature: analysis and windows."""
+
+    background_window_s: float = 2.0
+    merge_window_s: float = 0.5
+    window_len: int = 1024
+    hop: int = 256
+    band_min_hz: float = 100.0
+
+    def __post_init__(self) -> None:
+        if self.background_window_s < 1.0:
+            raise ValueError("background_window_s must be at least 1.0 s")
+        if self.merge_window_s <= 0:
+            raise ValueError("merge_window_s must be positive")
+        for name in ("window_len", "hop"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +183,7 @@ def _background_and_flags(
     tail_cols: Sequence[int],
     sig: ClickSignature,
     win: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Causal trailing-median background plus per-frame gate flags.
 
     Frame t's background is the per-band median of the clean (unflagged) frames
@@ -206,41 +234,36 @@ def _background_and_flags(
     return bg, burst_mask, tail_mask, burst_total
 
 
-def _gate_pass(
-    spec: Spectrogram,
-    bands: Sequence[Band],
-    sig: ClickSignature,
-    window_s: float,
-    gated_only: bool,
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Select the burst and tail columns, then run the background pass.
-
-    Returns the burst columns and ``_background_and_flags``'s result. With
-    ``gated_only`` there must be burst and tail bands, the pass sees only
-    those, tail bands first, and the burst columns index that subset;
-    per-band results do not depend on column order, and the burst bands keep
-    theirs.
-    """
+def _window_frames(spec: Spectrogram, window_s: float) -> int:
     if window_s < 1.0:
         raise ValueError(f"background window must be at least 1.0 s, got {window_s}")
+    return max(2, round(window_s / spec.frame_hop_s))
+
+
+def _gated_band_power(
+    spec: Spectrogram, bands: Sequence[Band], sig: ClickSignature
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Per-frame power of the gated bands only, tail bands first.
+
+    Returns that matrix plus the burst and tail column lists indexing it.
+    Raises if ``bands`` has no burst band or no tail band for ``sig``.
+    """
     burst_cols, tail_cols = _select_columns(bands, sig, spec.sample_rate_hz)
-    band_power = frame_band_powers(spec, bands)
-    if gated_only:
-        if not burst_cols:
-            raise ValueError(f"no band lies fully between burst_low_hz={sig.burst_low_hz} Hz and Nyquist")
-        if not tail_cols:
-            raise ValueError(f"no band centered inside tail_band_hz={sig.tail_band_hz}")
-        band_power = band_power[:, tail_cols + burst_cols]
-        n_tail = len(tail_cols)
-        tail_cols, burst_cols = list(range(n_tail)), list(range(n_tail, band_power.shape[1]))
-    win = max(2, round(window_s / spec.frame_hop_s))
-    return burst_cols, *_background_and_flags(band_power, burst_cols, tail_cols, sig, win)
+    if not burst_cols:
+        raise ValueError(f"no band lies fully between burst_low_hz={sig.burst_low_hz} Hz and Nyquist")
+    if not tail_cols:
+        raise ValueError(f"no band centered inside tail_band_hz={sig.tail_band_hz}")
+    # Every band, then slice: a matmul over fewer columns is not promised to
+    # give bitwise the same powers, and the events depend on them exactly.
+    band_power = frame_band_powers(spec, bands)[:, tail_cols + burst_cols]
+    n_tail = len(tail_cols)
+    return band_power, list(range(n_tail, band_power.shape[1])), list(range(n_tail))
 
 
 def estimate_background(
     spec: Spectrogram,
     bands: Sequence[Band],
-    window_s: float = 2.0,
+    window_s: float = _FrontEnd.background_window_s,
     signature: ClickSignature | None = None,
 ) -> NoiseEstimate:
     """Per-frame background power for each band (see module docstring).
@@ -251,7 +274,9 @@ def estimate_background(
     if spec.n_frames < 2:
         raise ValueError(f"need at least 2 frames, got {spec.n_frames}")
     sig = signature if signature is not None else ClickSignature()
-    _, bg, _, _, _ = _gate_pass(spec, bands, sig, window_s, gated_only=False)
+    win = _window_frames(spec, window_s)
+    burst_cols, tail_cols = _select_columns(bands, sig, spec.sample_rate_hz)
+    bg, _, _, _ = _background_and_flags(frame_band_powers(spec, bands), burst_cols, tail_cols, sig, win)
     return NoiseEstimate(bg, window_s)
 
 
@@ -275,8 +300,8 @@ def detect_events(
     spec: Spectrogram,
     sig: ClickSignature,
     bands: Sequence[Band],
-    background_window_s: float = 2.0,
-    merge_window_s: float = 0.5,
+    background_window_s: float = _FrontEnd.background_window_s,
+    merge_window_s: float = _FrontEnd.merge_window_s,
 ) -> list[DetectionEvent]:
     """Detect and classify click events; returns events sorted by onset.
 
@@ -302,9 +327,9 @@ def detect_events(
     if sig.tail_band_hz[1] > nyquist * (1.0 + 1e-12):
         raise ValueError(f"tail band {sig.tail_band_hz} extends above Nyquist ({nyquist} Hz)")
     # Median estimation is the hot path; run it only over the gated bands.
-    burst_cols, bg, burst_mask, tail_mask, burst_total = _gate_pass(
-        spec, bands, sig, background_window_s, gated_only=True
-    )
+    win = _window_frames(spec, background_window_s)
+    band_power, burst_cols, tail_cols = _gated_band_power(spec, bands, sig)
+    bg, burst_mask, tail_mask, burst_total = _background_and_flags(band_power, burst_cols, tail_cols, sig, win)
     floor = 10.0 ** (sig.silence_floor_db / 10.0)
     bg_burst = np.maximum(bg[:, burst_cols].sum(axis=1), floor * len(burst_cols))
 
@@ -351,23 +376,6 @@ def _merge_events(events: list[DetectionEvent], merge_window_s: float) -> list[D
     return merged
 
 
-@dataclass(frozen=True)
-class _FrontEnd:
-    """The detector's parameters outside the signature: analysis and windows."""
-
-    background_window_s: float = 2.0
-    merge_window_s: float = 0.5
-    window_len: int = 1024
-    hop: int = 256
-    band_min_hz: float = 100.0
-
-    def __post_init__(self) -> None:
-        if self.background_window_s < 1.0:
-            raise ValueError("background_window_s must be at least 1.0 s")
-        if self.merge_window_s <= 0:
-            raise ValueError("merge_window_s must be positive")
-
-
 class ClickDetector:
     """Estimator-style detector: parameters at construction, `predict` on audio.
 
@@ -400,7 +408,7 @@ class ClickDetector:
         return {field.name: getattr(self, field.name) for field in fields(cls)}
 
     def signature(self) -> ClickSignature:
-        return ClickSignature(**{**self._values(ClickSignature), "tail_band_hz": tuple(self.tail_band_hz)})
+        return ClickSignature(**self._values(ClickSignature))
 
     def fit(self, X=None, y=None) -> "ClickDetector":
         """Stateless; validates parameters and returns self."""

@@ -10,14 +10,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .audio_io import DEFAULT_SAMPLE_RATE_HZ, SampleBuffer, write_wav
-from .spectral import _bands_within_nyquist, frame_band_powers, stft, third_octave_bands
+from .detector import ClickDetector, ClickSignature, _gated_band_power
+from .spectral import stft
 
 __all__ = [
     "SimConfig",
@@ -245,33 +246,21 @@ def synth_click(sample_rate_hz: int, seed: int = 0) -> SampleBuffer:
     return SampleBuffer(x, rate)
 
 
-def _burst_band_columns(sample_rate_hz: int, burst_low_hz: float) -> tuple[list, list[int]]:
-    bands = _bands_within_nyquist(third_octave_bands(100.0, sample_rate_hz / 2.0), sample_rate_hz)
-    cols = [i for i, b in enumerate(bands) if b.lower_hz >= burst_low_hz]
-    if not cols:
-        raise ValueError(f"sample rate {sample_rate_hz} leaves no full band above {burst_low_hz} Hz")
-    return bands, cols
-
-
-def _burst_band_track(buffer: SampleBuffer, burst_low_hz: float) -> np.ndarray:
-    bands, cols = _burst_band_columns(buffer.sample_rate_hz, burst_low_hz)
-    spec = stft(buffer)
-    return frame_band_powers(spec, bands)[:, cols].sum(axis=1)
-
-
 def mix_at_snr(
     click: SampleBuffer,
     noise: SampleBuffer,
     cfg: SimConfig,
-    burst_low_hz: float = 8000.0,
+    burst_low_hz: float = ClickSignature.burst_low_hz,
 ) -> tuple[SampleBuffer, GroundTruth]:
     """Inject the click at each configured time, scaled to the target SNR.
 
     The click is scaled so its peak burst-band (above ``burst_low_hz``) frame
     power exceeds the noise's time-averaged power in the same bands by
-    ``cfg.target_snr_db``. The noise component is preserved exactly outside
-    the injection windows; samples that leave full scale are clamped and the
-    affected injection is flagged in the ground truth.
+    ``cfg.target_snr_db``; both are measured with the front end of a default
+    ``ClickDetector`` with that ``burst_low_hz``. The noise component is
+    preserved exactly outside the injection windows; samples that leave full
+    scale are clamped and the affected injection is flagged in the ground
+    truth.
     """
     if click.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError(
@@ -288,10 +277,18 @@ def mix_at_snr(
     out = noise.samples.copy()
     clipped: list[float] = []
     if times:
-        noise_ref = float(_burst_band_track(noise, burst_low_hz).mean())
+        detector = ClickDetector(burst_low_hz=burst_low_hz)
+        bands, sig = detector.bands_for(rate), detector.signature()
+
+        def burst_track(buffer: SampleBuffer) -> np.ndarray:
+            spec = stft(buffer, detector.window_len, detector.hop)
+            band_power, burst_cols, _ = _gated_band_power(spec, bands, sig)
+            return band_power[:, burst_cols].sum(axis=1)
+
+        noise_ref = float(burst_track(noise).mean())
         if noise_ref <= 0.0:
             raise ValueError("noise has no measurable burst-band power to reference the SNR to")
-        click_peak = float(_burst_band_track(click, burst_low_hz).max())
+        click_peak = float(burst_track(click).max())
         gain = math.sqrt(10.0 ** (cfg.target_snr_db / 10.0) * noise_ref / click_peak)
         scaled = gain * click.samples
         for t, i0 in zip(times, starts):
@@ -363,6 +360,22 @@ def read_truth_csv(path: str | Path) -> GroundTruth:
     return GroundTruth(tuple((float(t), label) for t, label in rows[1:]))
 
 
+def _write_clip(out_dir: Path, wav_name: str, truth_name: str, cfg: SimConfig, clicks: int) -> dict:
+    """Mix ``clicks`` spaced clicks into ``cfg``'s soundscape and write the clip.
+
+    The click times and the click are seeded by ``cfg.seed``. Writes the WAV
+    and the truth CSV into ``out_dir``, made if missing once the mix succeeds,
+    and returns the clip's manifest entry.
+    """
+    times = spaced_click_times(clicks, cfg.duration_s, np.random.default_rng(cfg.seed))
+    cfg = replace(cfg, click_times_s=times)
+    mix, truth = mix_at_snr(synth_click(cfg.sample_rate_hz, cfg.seed), factory_noise(cfg), cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_wav(mix, out_dir / wav_name)
+    write_truth_csv(truth, out_dir / truth_name)
+    return {"wav_path": wav_name, "truth_path": truth_name, "snr_db": float(cfg.target_snr_db), "seed": int(cfg.seed)}
+
+
 def generate_corpus(
     out_dir: str | Path,
     snr_values_db: Sequence[float] = (6.0, 9.0, 12.0, 15.0, 18.0),
@@ -381,29 +394,18 @@ def generate_corpus(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    index = 0
-    for snr in snr_values_db:
-        for _ in range(clips_per_snr):
-            seed = base_seed + index
-            rng = np.random.default_rng(seed)
-            times = spaced_click_times(clicks_per_clip, duration_s, rng)
-            cfg = SimConfig(
-                sample_rate_hz=sample_rate_hz,
-                seed=seed,
-                duration_s=duration_s,
-                transient_rate_hz=transient_rate_hz,
-                click_times_s=times,
-                target_snr_db=snr,
-            )
-            mix, truth = mix_at_snr(synth_click(sample_rate_hz, seed), factory_noise(cfg), cfg)
-            wav_name = f"clip_{index:03d}.wav"
-            truth_name = f"clip_{index:03d}.csv"
-            write_wav(mix, out_dir / wav_name)
-            write_truth_csv(truth, out_dir / truth_name)
-            manifest.append(
-                {"wav_path": wav_name, "truth_path": truth_name, "snr_db": float(snr), "seed": seed}
-            )
-            index += 1
+    snrs = [snr for snr in snr_values_db for _ in range(clips_per_snr)]
+    for index, snr in enumerate(snrs):
+        cfg = SimConfig(
+            sample_rate_hz=sample_rate_hz,
+            seed=base_seed + index,
+            duration_s=duration_s,
+            transient_rate_hz=transient_rate_hz,
+            target_snr_db=snr,
+        )
+        manifest.append(
+            _write_clip(out_dir, f"clip_{index:03d}.wav", f"clip_{index:03d}.csv", cfg, clicks_per_clip)
+        )
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=1))
     return manifest_path

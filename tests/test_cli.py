@@ -172,6 +172,18 @@ class TestDepthSweepCommand:
             if center > 500:
                 assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_seed_and_duration_from_config(self, tmp_path):
+        def sweep(name, *argv):
+            out = tmp_path / name
+            assert run("depth-sweep", "--depths", "0,0.3", *argv, "--out", str(out)) == 0
+            return out.read_text()
+
+        flags = sweep("flags.csv", "--seed", "5", "--duration", "4")
+        assert sweep("config.csv", "--set", "seed=5", "--set", "duration_s=4") == flags
+        assert sweep("override.csv", "--seed", "5", "--duration", "4", "--set", "seed=6") == flags
+        assert sweep("default_seed.csv", "--duration", "4") != flags
+        assert sweep("default_duration.csv", "--seed", "5") != flags
+
 
 class TestEvaluateCommand:
     def test_evaluate_prints_report(self, tmp_path, capsys):

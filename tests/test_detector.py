@@ -347,9 +347,24 @@ class TestClickDetectorEstimator:
     def test_fit_is_stateless_and_validates(self):
         detector = ClickDetector()
         assert detector.fit() is detector
-        for bad in ({"burst_min_s": 0.5, "burst_max_s": 0.1}, {"background_window_s": 0.5}, {"merge_window_s": 0.0}):
-            with pytest.raises(ValueError):
+        bad_params = (
+            {"burst_min_s": 0.5, "burst_max_s": 0.1},
+            {"background_window_s": 0.5},
+            {"merge_window_s": 0.0},
+            {"window_len": 512.0},
+            {"hop": 128.5},
+            {"hop": True},
+            {"tail_band_hz": 8000.0},
+            {"tail_band_hz": (1000.0, 4000.0, 8000.0)},
+        )
+        for bad in bad_params:
+            with pytest.raises(ValueError, match=next(iter(bad)) if len(bad) == 1 else None):
                 ClickDetector(**bad).fit()
+
+    def test_numpy_integer_window_predicts(self):
+        buf = click_in_silence(5)
+        detector = ClickDetector(window_len=np.int64(512), hop=np.int64(128))
+        assert detector.predict(buf) == ClickDetector(window_len=512, hop=128).predict(buf)
 
     def test_detect_aliases_predict(self):
         buf = click_in_silence(4)

@@ -188,20 +188,33 @@ class TestMixAtSnr:
             protected[i0 : i0 + round(0.4 * RATE)] = False
         assert (mixed.samples[protected] == noise.samples[protected]).all()
 
-    @pytest.mark.parametrize("target,tol", [(0.0, 1.0), (10.0, 2.0)])
-    def test_measured_snr_matches_target(self, target, tol):
-        # oracle: frame band powers of mix vs the noise's average burst-band power
-        from clickdetect.soundscape import _burst_band_columns
-        from clickdetect.spectral import frame_band_powers, stft
-        from clickdetect.detector import snr_db
+    # Each rate has its own burst bands; the 48 kHz ids leave the rate out so they stay stable.
+    @pytest.mark.parametrize(
+        "rate,target,tol",
+        [
+            pytest.param(rate, target, tol, id=f"{target}-{tol}" if rate == RATE else f"{rate}-{target}-{tol}")
+            for rate in (RATE, 44100, 96000)
+            for target, tol in ((0.0, 1.0), (10.0, 2.0))
+        ],
+    )
+    def test_measured_snr_matches_target(self, rate, target, tol):
+        # oracle: the detector's burst-band power of the mix vs the noise's average
+        from clickdetect.detector import ClickDetector, _gated_band_power, snr_db
+        from clickdetect.spectral import stft
 
-        cfg = SimConfig(seed=14, duration_s=8.0, click_times_s=(4.0,), target_snr_db=target)
+        detector = ClickDetector()
+
+        def burst_track(buffer):
+            spec = stft(buffer, detector.window_len, detector.hop)
+            power, burst_cols, _ = _gated_band_power(spec, detector.bands_for(rate), detector.signature())
+            return power[:, burst_cols].sum(axis=1)
+
+        cfg = SimConfig(sample_rate_hz=rate, seed=14, duration_s=8.0, click_times_s=(4.0,), target_snr_db=target)
         noise = pink_noise(cfg)
-        mixed, _ = mix_at_snr(synth_click(RATE, 14), noise, cfg)
-        bands, cols = _burst_band_columns(RATE, 8000.0)
-        track = frame_band_powers(stft(mixed), bands)[:, cols].sum(axis=1)
-        ref = frame_band_powers(stft(noise), bands)[:, cols].sum(axis=1).mean()
-        hop_s = 256 / RATE
+        mixed, _ = mix_at_snr(synth_click(rate, 14), noise, cfg)
+        track = burst_track(mixed)
+        ref = burst_track(noise).mean()
+        hop_s = detector.hop / rate
         peak = track[round(3.95 / hop_s) : round(4.15 / hop_s)].max()
         measured = snr_db(max(peak - ref, 0.0), ref)
         assert measured == pytest.approx(target, abs=tol)
