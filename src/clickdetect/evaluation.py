@@ -209,7 +209,8 @@ def run_benchmark(
 
     started = time.perf_counter()
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A fork pool starts all its workers at the first submit; no more than there are clips.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             counts = list(pool.map(_evaluate_clip, tasks, chunksize=1))
     else:
         counts = [_evaluate_clip(task) for task in tasks]

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +31,8 @@ __all__ = [
 ]
 
 _DB_FLOOR_POWER = 1e-30  # -300 dB, stands in for log(0)
-_STFT_BLOCK = 256  # frames per FFT call in stft: 2 MiB of windowed samples at 1024
+#: Windowed samples per FFT block (2 MiB of float64): 256 frames at window_len 1024.
+_STFT_BLOCK_SAMPLES = 262144
 
 
 class Band(NamedTuple):
@@ -43,29 +45,45 @@ class Band(NamedTuple):
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Time x frequency power matrix with frame metadata.
+    """Hann-windowed power spectrogram of a buffer, computed block by block.
 
     ``power[k, j]`` is one-sided |DFT|^2 of the k-th Hann-windowed frame
     (interior bins doubled so each frame satisfies Parseval). Frame k covers
-    samples [k*hop, k*hop + window_len).
+    samples [k*hop, k*hop + window_len). The spectrogram keeps the samples;
+    ``power`` is built on first access, and ``frame_band_powers`` reduces each
+    block of frames without ever building it.
     """
 
-    power: np.ndarray
+    samples: np.ndarray
     hop: int
     window_len: int
     sample_rate_hz: int
 
     def __post_init__(self) -> None:
-        if self.power.ndim != 2 or self.power.shape[1] != self.window_len // 2 + 1:
-            raise ValueError("power must be [n_frames x (window_len/2 + 1)]")
+        window_len, hop = self.window_len, self.hop
+        if window_len < 64 or window_len & (window_len - 1):
+            raise ValueError(f"window_len must be a power of two >= 64, got {window_len}")
+        if not 0 < hop <= window_len:
+            raise ValueError(f"hop must be in (0, window_len], got {hop}")
+        samples = np.asarray(self.samples, dtype=np.float64)
+        if samples.ndim != 1:
+            raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
+        if samples.size < window_len:
+            raise ValueError(f"buffer has {samples.size} samples, shorter than one {window_len}-sample window")
+        # Frozen as SampleBuffer's are, so the cached power cannot go stale; a
+        # buffer's samples already are, and are kept without a copy.
+        if samples.flags.writeable or samples.base is not None:
+            samples = samples.copy()
+            samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     @property
     def n_frames(self) -> int:
-        return self.power.shape[0]
+        return (self.samples.size - self.window_len) // self.hop + 1
 
     @property
     def n_bins(self) -> int:
-        return self.power.shape[1]
+        return self.window_len // 2 + 1
 
     @property
     def frame_hop_s(self) -> float:
@@ -74,6 +92,37 @@ class Spectrogram:
     @property
     def bin_frequencies_hz(self) -> np.ndarray:
         return np.arange(self.n_bins) * (self.sample_rate_hz / self.window_len)
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        """The [n_frames x n_bins] power matrix, assembled from the blocks."""
+        power = np.empty((self.n_frames, self.n_bins))
+        for start, block in self._power_blocks():
+            rows = power[start : start + len(block)]
+            rows[:] = block[: len(rows)]
+        return power
+
+    def _power_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(start, block)``: the power of frames start, start + 1, ...
+
+        ``block`` is one reused buffer of ``min(_STFT_BLOCK_SAMPLES //
+        window_len, n_frames)`` rows, overwritten by the next block; of the
+        last block only the first ``n_frames - start`` rows are valid. Every
+        block has the full height, so a matmul over it runs over the same
+        number of rows each time, and the windowed frames and their spectra
+        never exist for the whole recording.
+        """
+        n_frames = self.n_frames
+        frames = np.lib.stride_tricks.sliding_window_view(self.samples, self.window_len)[:: self.hop]
+        window = _hann(self.window_len)
+        height = min(max(1, _STFT_BLOCK_SAMPLES // self.window_len), n_frames)
+        windowed = np.empty((height, self.window_len))
+        power = np.empty((height, self.n_bins))
+        for start in range(0, n_frames, height):
+            valid = min(height, n_frames - start)
+            np.multiply(frames[start : start + valid], window, out=windowed[:valid])
+            _onesided_power(windowed[:valid], out=power[:valid])
+            yield start, power
 
 
 @dataclass(frozen=True)
@@ -109,32 +158,15 @@ def _onesided_power(frames: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 
 def stft(buffer: SampleBuffer, window_len: int = 1024, hop: int = 256) -> Spectrogram:
-    """Hann-windowed power spectrogram.
+    """Hann-windowed power spectrogram of ``buffer``, sharing its samples.
 
     ``n_frames = floor((len - window_len) / hop) + 1``; trailing samples that
     do not fill a window are dropped. Defaults give ~21.3 ms windows with
     ~5.3 ms hops at 48 kHz, enough temporal resolution to gate a 50 ms burst.
+    No transform runs here: ``Spectrogram`` checks the arguments, and the
+    power is computed block by block when it is used.
     """
-    if window_len < 64 or window_len & (window_len - 1):
-        raise ValueError(f"window_len must be a power of two >= 64, got {window_len}")
-    if not 0 < hop <= window_len:
-        raise ValueError(f"hop must be in (0, window_len], got {hop}")
-    x = buffer.samples
-    if x.size < window_len:
-        raise ValueError(f"buffer has {x.size} samples, shorter than one {window_len}-sample window")
-    frames = np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop]
-    window = _hann(window_len)
-    n_frames = frames.shape[0]
-    power = np.empty((n_frames, window_len // 2 + 1))
-    # Window and transform one block of frames at a time into one reused
-    # buffer, writing straight into ``power``: the windowed frames and their
-    # spectra never exist for the whole recording (~4x the size of ``power``).
-    windowed = np.empty((min(_STFT_BLOCK, n_frames), window_len))
-    for start in range(0, n_frames, _STFT_BLOCK):
-        block = windowed[: min(_STFT_BLOCK, n_frames - start)]
-        np.multiply(frames[start : start + len(block)], window, out=block)
-        _onesided_power(block, out=power[start : start + len(block)])
-    return Spectrogram(power, hop, window_len, buffer.sample_rate_hz)
+    return Spectrogram(buffer.samples, hop, window_len, buffer.sample_rate_hz)
 
 
 def third_octave_bands(min_hz: float, max_hz: float) -> list[Band]:
@@ -200,7 +232,14 @@ def frame_band_powers(spec: Spectrogram, bands: Sequence[Band]) -> np.ndarray:
     for i, band in enumerate(bands):
         j0, j1 = np.searchsorted(freqs, (band.lower_hz, band.upper_hz), side="left")
         columns[j0:j1, i] = 1.0
-    return (spec.power @ columns) / norm
+    # Multiply each full-height block and keep its valid rows: the power
+    # matrix never exists, and every matmul has the same number of rows.
+    out = np.empty((spec.n_frames, len(bands)))
+    for start, block in spec._power_blocks():
+        rows = out[start : start + len(block)]
+        rows[:] = (block @ columns)[: len(rows)]
+    out /= norm
+    return out
 
 
 def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80.0) -> None:
@@ -212,15 +251,20 @@ def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80
     """
     if db_floor >= 0:
         raise ValueError(f"db_floor must be negative, got {db_floor}")
-    peak = float(spec.power.max(initial=0.0))
+    Path(path).write_bytes(_pgm_bytes(spec.power, db_floor))
+
+
+def _pgm_bytes(power: np.ndarray, db_floor: float) -> bytes:
+    """The P5 image of a [frames x bins] power matrix (see ``spectrogram_image``)."""
+    peak = float(power.max(initial=0.0))
     if peak > 0.0:
         with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(spec.power / peak)
+            db = 10.0 * np.log10(power / peak)
         scaled = np.clip(1.0 - db / db_floor, 0.0, 1.0)
     else:
-        scaled = np.zeros_like(spec.power)
+        scaled = np.zeros_like(power)
     pixels = np.rint(scaled * 255.0).astype(np.uint8)
     # rows top->bottom = bins high->low; columns left->right = frames
     image = pixels.T[::-1]
-    header = f"P5\n{spec.n_frames} {spec.n_bins}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.tobytes())
+    header = f"P5\n{power.shape[0]} {power.shape[1]}\n255\n".encode("ascii")
+    return header + image.tobytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,18 @@ class TestClickDetectorEstimator:
         buf = click_in_silence(5)
         detector = ClickDetector(window_len=np.int64(512), hop=np.int64(128))
         assert detector.predict(buf) == ClickDetector(window_len=512, hop=128).predict(buf)
+
+    def test_predict_never_builds_the_power_matrix(self, rng):
+        buf = SampleBuffer(0.05 * rng.standard_normal(120 * RATE), RATE)
+        spec = stft(buf)
+        power_bytes = spec.n_frames * spec.n_bins * 8  # 92 MB
+        tracemalloc.start()
+        try:
+            ClickDetector().predict(buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < power_bytes / 4
 
     def test_detect_aliases_predict(self):
         buf = click_in_silence(4)

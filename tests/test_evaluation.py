@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clickdetect.detector import DetectionEvent
+from clickdetect import evaluation
 from clickdetect.evaluation import EvalReport, depth_sweep, match_detections, run_benchmark
 from clickdetect.soundscape import GroundTruth, ShroudModel, SimConfig, generate_corpus, pink_noise
 from clickdetect.spectral import band_powers, third_octave_bands
@@ -135,6 +136,28 @@ class TestRunBenchmark:
         serial = run_benchmark(small_corpus, jobs=1)
         parallel = run_benchmark(small_corpus, jobs=2)
         assert serial.aggregate.to_json_dict() == parallel.aggregate.to_json_dict()
+
+    def test_pool_never_larger_than_the_manifest(self, small_corpus, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+        many = run_benchmark(small_corpus, jobs=16)
+        two = run_benchmark(small_corpus, jobs=2)
+        assert sizes == [4, 2]  # 4 clips in the manifest
+        assert many.aggregate.to_json_dict() == two.aggregate.to_json_dict()
 
     def test_noise_only_corpus_scores_perfect(self, tmp_path):
         manifest = generate_corpus(

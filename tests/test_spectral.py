@@ -6,8 +6,10 @@ import pytest
 from clickdetect.audio_io import SampleBuffer
 from clickdetect.soundscape import SimConfig, pink_noise
 from clickdetect.spectral import (
-    _STFT_BLOCK,
+    _STFT_BLOCK_SAMPLES,
+    Spectrogram,
     _hann,
+    _pgm_bytes,
     band_powers,
     frame_band_powers,
     spectrogram_image,
@@ -67,7 +69,7 @@ class TestStft:
 
     def test_blocked_transform_matches_one_shot(self, rng):
         # Enough frames for several FFT blocks and a partial last one.
-        n_frames = 3 * _STFT_BLOCK + 7
+        n_frames = 3 * (_STFT_BLOCK_SAMPLES // 1024) + 7
         x = 0.1 * rng.standard_normal(1024 + 256 * (n_frames - 1) + 100)
         frames = np.lib.stride_tricks.sliding_window_view(x, 1024)[::256]
         spec = stft(SampleBuffer(x, RATE), 1024, 256)
@@ -87,6 +89,38 @@ class TestStft:
             stft(buf, 1024, 0)
         with pytest.raises(ValueError):
             stft(SampleBuffer(np.zeros(512), RATE), 1024, 256)
+
+    @pytest.mark.parametrize(
+        "samples, hop, window_len",
+        [
+            (np.zeros(4096), 256, 1000),
+            (np.zeros(4096), 8, 32),
+            (np.zeros(4096), 0, 1024),
+            (np.zeros(4096), 1025, 1024),
+            (np.zeros((2, 4096)), 256, 1024),
+            (np.zeros(1023), 256, 1024),
+        ],
+        ids=["not_power_of_two", "window_below_64", "zero_hop", "hop_over_window", "two_d", "shorter_than_window"],
+    )
+    def test_direct_construction_checks(self, samples, hop, window_len):
+        with pytest.raises(ValueError):
+            Spectrogram(samples, hop, window_len, RATE)
+
+    def test_shares_buffer_samples_and_builds_power_lazily(self, rng):
+        buf = SampleBuffer(0.1 * rng.standard_normal(RATE), RATE)
+        spec = stft(buf)
+        assert np.shares_memory(spec.samples, buf.samples)
+        frame_band_powers(spec, third_octave_bands(100, 20000))
+        assert "power" not in vars(spec)
+        assert spec.power is spec.power
+        assert "power" in vars(spec)
+
+    def test_direct_construction_freezes_a_copy(self):
+        x = np.zeros(4096)
+        spec = Spectrogram(x, 256, 1024, RATE)
+        x[0] = 1.0
+        assert not spec.samples.flags.writeable
+        assert not spec.power.any()
 
 
 class TestThirdOctaveBands:
@@ -198,6 +232,26 @@ class TestFrameBandPowers:
         covered = (bands[-1].upper_hz - bands[0].lower_hz) / (RATE / 2)
         assert total == pytest.approx(sigma**2 * covered, rel=0.05)
 
+    @pytest.mark.parametrize("window_len", [256, 512, 1024])
+    @pytest.mark.parametrize("rate", [16000, 44100, 48000, 96000])
+    def test_blocked_matches_full_power_matmul(self, rate, window_len, rng):
+        hop = window_len // 4
+        block = _STFT_BLOCK_SAMPLES // window_len
+        bands = third_octave_bands(100, rate / 2)
+        w = _hann(window_len)
+        norm = window_len * float(np.sum(w**2))
+        for n_frames in (1, 2, block - 1, block, block + 1, 2 * block + 1):
+            x = 0.1 * rng.standard_normal(window_len + hop * (n_frames - 1))
+            spec = stft(SampleBuffer(x, rate), window_len, hop)
+            assert spec.n_frames == n_frames
+            freqs = spec.bin_frequencies_hz
+            columns = np.zeros((spec.n_bins, len(bands)))
+            for i, band in enumerate(bands):
+                columns[(freqs >= band.lower_hz) & (freqs < band.upper_hz), i] = 1.0
+            blocked = frame_band_powers(spec, bands)
+            assert "power" not in vars(spec)
+            assert np.array_equal(blocked, spec.power @ columns / norm)
+
 
 def parse_pgm(data: bytes):
     magic, dims, maxval, pixels = data.split(b"\n", 3)
@@ -215,14 +269,13 @@ class TestSpectrogramImage:
         assert (w, h) == (spec.n_frames, spec.n_bins)
         assert not img.any()
 
-    def test_single_saturated_cell(self, tmp_path):
+    def test_single_saturated_cell(self):
+        # A spectrogram holds samples, so the pixel mapping is fed the matrix.
         spec = stft(SampleBuffer(np.zeros(4096), RATE))
         power = spec.power.copy()
         power[3, 5] = 1.0
-        hot = type(spec)(power, spec.hop, spec.window_len, spec.sample_rate_hz)
-        path = tmp_path / "one.pgm"
-        spectrogram_image(hot, path)
-        w, h, img = parse_pgm(path.read_bytes())
+        w, h, img = parse_pgm(_pgm_bytes(power, -80.0))
+        assert (w, h) == (spec.n_frames, spec.n_bins)
         # low frequencies at the bottom: bin 5 sits 5 rows above the last row
         assert img[h - 1 - 5, 3] == 255
         assert img.sum() == 255
