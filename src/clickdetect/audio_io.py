@@ -147,11 +147,10 @@ def read_wav(path: str | Path) -> SampleBuffer:
         raise WavFormatError(f"{path}: nSamplesPerSec = {sample_rate}, below {MIN_SAMPLE_RATE_HZ} Hz")
 
     if block_align:
-        usable = len(data) - len(data) % block_align
-        data = data[:usable]
-    elif bits in (16, 32) and len(data) % (bits // 8):
+        data = data[: len(data) - len(data) % block_align]
+    if bits in (16, 32) and len(data) % (bits // 8):
         raise WavFormatError(
-            f"{path}: nBlockAlign = 0 and the {len(data)}-byte data chunk is not a whole "
+            f"{path}: nBlockAlign = {block_align} and the {len(data)}-byte data chunk is not a whole "
             f"number of {bits}-bit samples"
         )
 

@@ -47,6 +47,7 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 _DETECTOR_DEFAULTS = ClickDetector().get_params()
+_SIM_DEFAULTS = SimConfig()
 
 #: Every signature/soundscape/model parameter reachable through config; the
 #: detector's keys and parsers follow its parameters' defaults.
@@ -133,12 +134,14 @@ def cmd_detect(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config, args.set)
-    rate = args.sample_rate if args.sample_rate is not None else config.get("sample_rate_hz", 48000)
+    rate = args.sample_rate
+    if rate is None:
+        rate = config.get("sample_rate_hz", _SIM_DEFAULTS.sample_rate_hz)
     duration = args.duration if args.duration is not None else config.get("duration_s", 60.0)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    snr = args.snr_db if args.snr_db is not None else config.get("target_snr_db", 12.0)
+    snr = args.snr_db if args.snr_db is not None else config.get("target_snr_db", _SIM_DEFAULTS.target_snr_db)
     clicks = args.clicks if args.clicks is not None else config.get("clicks", 3)
-    transient_rate = config.get("transient_rate_hz", 0.5)
+    transient_rate = config.get("transient_rate_hz", _SIM_DEFAULTS.transient_rate_hz)
 
     cfg = SimConfig(
         sample_rate_hz=rate, seed=seed, duration_s=duration, transient_rate_hz=transient_rate, target_snr_db=snr
@@ -177,7 +180,7 @@ def cmd_depth_sweep(args) -> int:
         float(d) for d in args.depths.split(",") if d.strip()
     )
     cfg = SimConfig(
-        sample_rate_hz=config.get("sample_rate_hz", 48000),
+        sample_rate_hz=config.get("sample_rate_hz", _SIM_DEFAULTS.sample_rate_hz),
         seed=args.seed if args.seed is not None else config.get("seed", 0),
         duration_s=args.duration if args.duration is not None else config.get("duration_s", 16.0),
     )

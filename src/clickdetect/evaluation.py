@@ -164,8 +164,7 @@ def _evaluate_clip(args: tuple[str, str, dict, float]) -> tuple[int, int, int, f
     except (OSError, ValueError) as exc:
         raise RuntimeError(f"cannot evaluate clip {wav_path}: {exc}") from exc
     report = match_detections(detector.predict(buffer), read_truth_csv(truth_path), tolerance_s)
-    seconds = len(buffer) / buffer.sample_rate_hz
-    return report.true_positives, report.false_positives, report.false_negatives, seconds
+    return report.true_positives, report.false_positives, report.false_negatives, buffer.duration_s
 
 
 def run_benchmark(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -47,17 +46,15 @@ class Band(NamedTuple):
 class Spectrogram:
     """Hann-windowed power spectrogram of a buffer, computed block by block.
 
-    ``power[k, j]`` is one-sided |DFT|^2 of the k-th Hann-windowed frame
-    (interior bins doubled so each frame satisfies Parseval). Frame k covers
-    samples [k*hop, k*hop + window_len). The spectrogram keeps the samples;
-    ``power`` is built on first access, and ``frame_band_powers`` reduces each
-    block of frames without ever building it.
+    The power of frame k is one-sided |DFT|^2 of the Hann-windowed samples
+    [k*hop, k*hop + window_len), interior bins doubled so each frame satisfies
+    Parseval. No power is stored: ``frame_band_powers`` and
+    ``spectrogram_image`` each consume it one block of frames at a time.
     """
 
-    samples: np.ndarray
+    buffer: SampleBuffer
     hop: int
     window_len: int
-    sample_rate_hz: int
 
     def __post_init__(self) -> None:
         window_len, hop = self.window_len, self.hop
@@ -65,21 +62,16 @@ class Spectrogram:
             raise ValueError(f"window_len must be a power of two >= 64, got {window_len}")
         if not 0 < hop <= window_len:
             raise ValueError(f"hop must be in (0, window_len], got {hop}")
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if samples.size < window_len:
-            raise ValueError(f"buffer has {samples.size} samples, shorter than one {window_len}-sample window")
-        # Frozen as SampleBuffer's are, so the cached power cannot go stale; a
-        # buffer's samples already are, and are kept without a copy.
-        if samples.flags.writeable or samples.base is not None:
-            samples = samples.copy()
-            samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        if len(self.buffer) < window_len:
+            raise ValueError(f"buffer has {len(self.buffer)} samples, shorter than one {window_len}-sample window")
+
+    @property
+    def sample_rate_hz(self) -> int:
+        return self.buffer.sample_rate_hz
 
     @property
     def n_frames(self) -> int:
-        return (self.samples.size - self.window_len) // self.hop + 1
+        return (len(self.buffer) - self.window_len) // self.hop + 1
 
     @property
     def n_bins(self) -> int:
@@ -93,15 +85,6 @@ class Spectrogram:
     def bin_frequencies_hz(self) -> np.ndarray:
         return np.arange(self.n_bins) * (self.sample_rate_hz / self.window_len)
 
-    @cached_property
-    def power(self) -> np.ndarray:
-        """The [n_frames x n_bins] power matrix, assembled from the blocks."""
-        power = np.empty((self.n_frames, self.n_bins))
-        for start, block in self._power_blocks():
-            rows = power[start : start + len(block)]
-            rows[:] = block[: len(rows)]
-        return power
-
     def _power_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(start, block)``: the power of frames start, start + 1, ...
 
@@ -113,7 +96,7 @@ class Spectrogram:
         never exist for the whole recording.
         """
         n_frames = self.n_frames
-        frames = np.lib.stride_tricks.sliding_window_view(self.samples, self.window_len)[:: self.hop]
+        frames = np.lib.stride_tricks.sliding_window_view(self.buffer.samples, self.window_len)[:: self.hop]
         window = _hann(self.window_len)
         height = min(max(1, _STFT_BLOCK_SAMPLES // self.window_len), n_frames)
         windowed = np.empty((height, self.window_len))
@@ -166,7 +149,7 @@ def stft(buffer: SampleBuffer, window_len: int = 1024, hop: int = 256) -> Spectr
     No transform runs here: ``Spectrogram`` checks the arguments, and the
     power is computed block by block when it is used.
     """
-    return Spectrogram(buffer.samples, hop, window_len, buffer.sample_rate_hz)
+    return Spectrogram(buffer, hop, window_len)
 
 
 def third_octave_bands(min_hz: float, max_hz: float) -> list[Band]:
@@ -248,23 +231,23 @@ def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80
     One column per frame, one row per bin with low frequencies at the bottom.
     Power is mapped log-scale relative to the spectrogram's peak: db_floor and
     below -> 0, 0 dB (the peak) -> 255. An all-zero spectrogram is all black.
+    Two passes over the power blocks, one for the peak and one for the
+    pixels, keep the memory to about the image's own size.
     """
     if db_floor >= 0:
         raise ValueError(f"db_floor must be negative, got {db_floor}")
-    Path(path).write_bytes(_pgm_bytes(spec.power, db_floor))
-
-
-def _pgm_bytes(power: np.ndarray, db_floor: float) -> bytes:
-    """The P5 image of a [frames x bins] power matrix (see ``spectrogram_image``)."""
-    peak = float(power.max(initial=0.0))
+    n_frames = spec.n_frames
+    # Of the reused last block only the first n_frames - start rows are valid.
+    peak = max(float(block[: n_frames - start].max()) for start, block in spec._power_blocks())
+    image = np.zeros((spec.n_bins, n_frames), dtype=np.uint8)
     if peak > 0.0:
-        with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(power / peak)
-        scaled = np.clip(1.0 - db / db_floor, 0.0, 1.0)
-    else:
-        scaled = np.zeros_like(power)
-    pixels = np.rint(scaled * 255.0).astype(np.uint8)
-    # rows top->bottom = bins high->low; columns left->right = frames
-    image = pixels.T[::-1]
-    header = f"P5\n{power.shape[0]} {power.shape[1]}\n255\n".encode("ascii")
-    return header + image.tobytes()
+        for start, block in spec._power_blocks():
+            power = block[: n_frames - start]
+            with np.errstate(divide="ignore"):
+                db = 10.0 * np.log10(power / peak)
+            scaled = np.clip(1.0 - db / db_floor, 0.0, 1.0)
+            # rows top->bottom = bins high->low; columns left->right = frames
+            image[::-1, start : start + len(power)] = np.rint(scaled * 255.0).T
+    with Path(path).open("wb") as out:
+        out.write(f"P5\n{n_frames} {spec.n_bins}\n255\n".encode("ascii"))
+        image.tofile(out)

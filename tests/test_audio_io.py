@@ -136,11 +136,21 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match="nSamplesPerSec = 4000"):
             read_wav(path)
 
-    @pytest.mark.parametrize("fmt, bits, size", [(1, 16, 5), (3, 32, 6)])
-    def test_zero_block_align_partial_sample_named(self, tmp_path, fmt, bits, size):
+    @pytest.mark.parametrize(
+        "fmt, bits, size, block_align",
+        [
+            pytest.param(1, 16, 5, 0, id="1-16-5"),
+            pytest.param(3, 32, 6, 0, id="3-32-6"),
+            # A block that is not a whole number of samples leaves a partial one.
+            pytest.param(1, 16, 100, 3, id="1-16-100-align3"),
+            pytest.param(1, 16, 99, 3, id="1-16-99-align3"),
+            pytest.param(1, 16, 7, 1, id="1-16-7-align1"),
+        ],
+    )
+    def test_zero_block_align_partial_sample_named(self, tmp_path, fmt, bits, size, block_align):
         path = tmp_path / "ragged.wav"
-        path.write_bytes(raw_wav_bytes(b"\x00" * size, fmt=fmt, bits=bits, block_align=0))
-        with pytest.raises(WavFormatError, match="nBlockAlign = 0"):
+        path.write_bytes(raw_wav_bytes(b"\x00" * size, fmt=fmt, bits=bits, block_align=block_align))
+        with pytest.raises(WavFormatError, match=f"nBlockAlign = {block_align}"):
             read_wav(path)
 
     def test_zero_block_align_whole_samples_read(self, tmp_path):

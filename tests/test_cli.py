@@ -37,13 +37,27 @@ class TestDetect:
 
     @pytest.mark.parametrize(
         "header, field",
-        [({"rate": 4000}, "nSamplesPerSec"), ({"block_align": 0}, "nBlockAlign")],
+        [
+            ({"rate": 4000}, "nSamplesPerSec"),
+            ({"block_align": 0}, "nBlockAlign"),
+            ({"block_align": 3}, "nBlockAlign"),
+            ({"block_align": 1}, "nBlockAlign"),
+        ],
     )
     def test_malformed_header_exits_2(self, tmp_path, capsys, header, field):
         path = tmp_path / "bad.wav"
         path.write_bytes(raw_wav_bytes(b"\x00" * 5, **header))
         assert run("detect", str(path)) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate, code", [(22050, 4), (24000, 0)])
+    def test_sample_rate_floor(self, tmp_path, rate, code):
+        # With default parameters the first burst band ends at 11,314 Hz, so
+        # detection needs a rate of at least 22,628 Hz.
+        path = tmp_path / "noise.wav"
+        noise = 0.01 * np.random.default_rng(1).standard_normal(2 * rate)
+        write_wav(SampleBuffer(noise, rate), path)
+        assert run("detect", str(path), "--out", str(tmp_path / "events.jsonl")) == code
 
     def test_short_buffer_exits_4(self, tmp_path):
         path = tmp_path / "blip.wav"
