@@ -92,7 +92,8 @@ def read_wav(path: str | Path) -> SampleBuffer:
 
     Accepts 16- or 24-bit integer PCM and 32-bit float, 1 or 2 channels.
     Integer samples are scaled by the type's full-scale value (2^15 or 2^23);
-    float samples are clamped to [-1, 1]. Stereo is averaged to mono.
+    float samples are clamped to [-1, 1], infinities included. Stereo is
+    averaged to mono.
 
     Raises
     ------
@@ -100,7 +101,8 @@ def read_wav(path: str | Path) -> SampleBuffer:
         If the path does not exist.
     WavFormatError
         Naming the offending header field for any unsupported container,
-        codec, bit depth, channel count, or truncated data chunk.
+        codec, bit depth, channel count, or truncated data chunk, and for a
+        float data chunk that holds NaN.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -158,6 +160,8 @@ def read_wav(path: str | Path) -> SampleBuffer:
         if bits != 32:
             raise WavFormatError(f"{path}: wBitsPerSample = {bits} for float data, only 32 supported")
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if samples.size and math.isnan(samples.max()):  # max propagates NaN
+            raise WavFormatError(f"{path}: data chunk holds NaN samples")
         samples = np.clip(samples, -1.0, 1.0)
     elif bits == 16:
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64)

@@ -1,9 +1,10 @@
 """Single command-line entry point for the detection/synthesis pipeline.
 
 Subcommands: detect, simulate, spectrogram, bands, depth-sweep, evaluate.
-Configuration merges defaults <- config file <- --set flags (last wins); the
-config file is plain ``key = value`` lines with ``#`` comments. Exit codes:
-0 success, 2 I/O error, 3 configuration error, 4 precondition violation.
+Settings merge defaults <- config file <- --set <- a command's flags (last
+wins); the config file is plain ``key = value`` lines with ``#`` comments.
+Exit codes: 0 success, 2 I/O error, 3 configuration error, 4 precondition
+violation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .audio_io import WavFormatError, read_wav
@@ -47,29 +49,23 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 _DETECTOR_DEFAULTS = ClickDetector().get_params()
-_SIM_DEFAULTS = SimConfig()
+_SIM_KEYS = tuple(field.name for field in fields(SimConfig) if field.name != "click_times_s")
+_SHROUD_KEYS = ("dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db")
 
-#: Every signature/soundscape/model parameter reachable through config; the
-#: detector's keys and parsers follow its parameters' defaults.
-CONFIG_SPEC: dict[str, type | object] = {
-    **{
-        key: {float: float, int: int, tuple: _parse_pair}[type(default)]
-        for key, default in _DETECTOR_DEFAULTS.items()
-    },
-    "sample_rate_hz": int,
-    "duration_s": float,
-    "transient_rate_hz": float,
-    "target_snr_db": float,
-    "seed": int,
-    "clicks": int,
-    "dish_diameter_m": float,
-    "attenuation_db": float,
-    "corner_hz": float,
-    "attenuation_cap_db": float,
-    "gain_cap_db": float,
+#: Every config key and its default, read from the key's owner: the detector's
+#: parameters, the soundscape's knobs, the CLI's own click count and the
+#: shroud model's fields.
+_DEFAULTS: dict = {
+    **_DETECTOR_DEFAULTS,
+    **{key: getattr(SimConfig, key) for key in _SIM_KEYS},
+    "clicks": 3,
+    **{key: getattr(ShroudModel, key) for key in _SHROUD_KEYS},
 }
 
-_SHROUD_KEYS = {"dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db"}
+#: Each config key's parser, picked by the type of its default.
+CONFIG_SPEC: dict[str, type | object] = {
+    key: {float: float, int: int, tuple: _parse_pair}[type(default)] for key, default in _DEFAULTS.items()
+}
 
 
 def _parse_value(key: str, raw: str):
@@ -105,14 +101,18 @@ def load_config(path: str | None, set_args: list[str] | None) -> dict:
     return merged
 
 
-def _detector_from(config: dict) -> ClickDetector:
-    params = {k: v for k, v in config.items() if k in _DETECTOR_DEFAULTS}
-    return ClickDetector(**params)
+def _settings(args, **command_defaults) -> dict:
+    """Every config key's value for one command, the last source winning:
+    the owners' defaults, ``command_defaults``, the config file, ``--set``,
+    then the command's flags, each of which stores under its config key."""
+    settings = {**_DEFAULTS, **command_defaults, **load_config(args.config, args.set)}
+    flags = {key: getattr(args, key, None) for key in CONFIG_SPEC}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    return settings
 
 
-def _shroud_from(config: dict) -> ShroudModel:
-    params = {k: v for k, v in config.items() if k in _SHROUD_KEYS}
-    return ShroudModel(**params)
+def _owned(settings: dict, keys) -> dict:
+    return {key: settings[key] for key in keys}
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -123,8 +123,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_detect(args) -> int:
-    config = load_config(args.config, args.set)
-    detector = _detector_from(config)
+    detector = ClickDetector(**_owned(_settings(args), _DETECTOR_DEFAULTS))
     buffer = read_wav(args.input)
     events = detector.predict(buffer)
     lines = "".join(json.dumps(e.to_json_dict()) + "\n" for e in events)
@@ -133,19 +132,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config, args.set)
-    rate = args.sample_rate
-    if rate is None:
-        rate = config.get("sample_rate_hz", _SIM_DEFAULTS.sample_rate_hz)
-    duration = args.duration if args.duration is not None else config.get("duration_s", 60.0)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    snr = args.snr_db if args.snr_db is not None else config.get("target_snr_db", _SIM_DEFAULTS.target_snr_db)
-    clicks = args.clicks if args.clicks is not None else config.get("clicks", 3)
-    transient_rate = config.get("transient_rate_hz", _SIM_DEFAULTS.transient_rate_hz)
-
-    cfg = SimConfig(
-        sample_rate_hz=rate, seed=seed, duration_s=duration, transient_rate_hz=transient_rate, target_snr_db=snr
-    )
+    settings = _settings(args, duration_s=60.0)
+    cfg, clicks = SimConfig(**_owned(settings, _SIM_KEYS)), settings["clicks"]
     out_dir = Path(args.out_dir)
     entry = _write_clip(out_dir, "mix.wav", "truth.csv", cfg, clicks)
 
@@ -153,13 +141,12 @@ def cmd_simulate(args) -> int:
     entries = json.loads(manifest_path.read_text()) if manifest_path.exists() else []
     entries = [e for e in entries if e.get("wav_path") != "mix.wav"] + [entry]
     manifest_path.write_text(json.dumps(entries, indent=1))
-    print(f"wrote {out_dir / 'mix.wav'} ({duration:g} s, {clicks} clicks, {snr:+g} dB)")
+    print(f"wrote {out_dir / 'mix.wav'} ({cfg.duration_s:g} s, {clicks} clicks, {cfg.target_snr_db:+g} dB)")
     return EXIT_OK
 
 
 def cmd_spectrogram(args) -> int:
-    config = load_config(args.config, args.set)
-    detector = _detector_from(config)
+    detector = ClickDetector(**_owned(_settings(args), _DETECTOR_DEFAULTS))
     buffer = read_wav(args.input)
     spec = stft(buffer, detector.window_len, detector.hop)
     spectrogram_image(spec, args.out, db_floor=args.floor_db)
@@ -175,28 +162,30 @@ def cmd_bands(args) -> int:
 
 
 def cmd_depth_sweep(args) -> int:
-    config = load_config(args.config, args.set)
+    settings = _settings(args, duration_s=16.0)
     depths = DEFAULT_DEPTHS_M if args.depths is None else tuple(
         float(d) for d in args.depths.split(",") if d.strip()
     )
-    cfg = SimConfig(
-        sample_rate_hz=config.get("sample_rate_hz", _SIM_DEFAULTS.sample_rate_hz),
-        seed=args.seed if args.seed is not None else config.get("seed", 0),
-        duration_s=args.duration if args.duration is not None else config.get("duration_s", 16.0),
-    )
-    table = depth_sweep(_shroud_from(config), depths, cfg)
+    model = ShroudModel(**_owned(settings, _SHROUD_KEYS))
+    table = depth_sweep(model, depths, SimConfig(**_owned(settings, _SIM_KEYS)))
     _write_text(args.out, table.as_csv())
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config, args.set)
-    detector = _detector_from(config)
+    detector = ClickDetector(**_owned(_settings(args), _DETECTOR_DEFAULTS))
     result = run_benchmark(args.manifest, detector, jobs=args.jobs)
     print(result.format_text())
     if args.json:
         Path(args.json).write_text(json.dumps(result.to_json_dict(), indent=1))
     return EXIT_OK
+
+
+def _aliases(parser, *pairs: tuple[str, str]) -> None:
+    """Add each ``(flag, key)`` flag as an alias of config key ``key``: the
+    key's parser reads it, and its value overrides the config's."""
+    for flag, key in pairs:
+        parser.add_argument(flag, dest=key, type=CONFIG_SPEC[key])
 
 
 def build_parser() -> _Parser:
@@ -214,11 +203,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", parents=[common], help="synthesize a factory mix with injected clicks")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--snr-db", type=float, default=None)
-    p.add_argument("--clicks", type=int, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sample-rate", type=int, default=None)
+    _aliases(p, ("--snr-db", "target_snr_db"), ("--clicks", "clicks"), ("--duration", "duration_s"),
+             ("--seed", "seed"), ("--sample-rate", "sample_rate_hz"))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrogram", parents=[common], help="write a PGM spectrogram image")
@@ -227,15 +213,14 @@ def build_parser() -> _Parser:
     p.add_argument("--floor-db", type=float, default=-80.0)
     p.set_defaults(func=cmd_spectrogram)
 
-    p = sub.add_parser("bands", parents=[common], help="print the 1/3-octave band-power CSV")
+    p = sub.add_parser("bands", help="print the 1/3-octave band-power CSV")
     p.add_argument("input")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("depth-sweep", parents=[common], help="band powers vs shroud inset depth (CSV)")
     p.add_argument("--depths", help="comma-separated depths in meters (default 0..0.6096 in 3-in steps)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--duration", type=float, default=None)
+    _aliases(p, ("--seed", "seed"), ("--duration", "duration_s"))
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_depth_sweep)
 
@@ -254,9 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (WavFormatError, RuntimeError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

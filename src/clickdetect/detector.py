@@ -66,12 +66,14 @@ class ClickSignature:
     silence_floor_db: float = -120.0
 
     def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
         if not 0.0 < self.burst_min_s < self.burst_max_s:
             raise ValueError(f"need 0 < burst_min_s < burst_max_s, got ({self.burst_min_s}, {self.burst_max_s})")
         if not 0.0 < self.tail_min_s < self.tail_max_s:
             raise ValueError(f"need 0 < tail_min_s < tail_max_s, got ({self.tail_min_s}, {self.tail_max_s})")
-        if self.onset_threshold_db <= 0.0 or self.tail_threshold_db <= 0.0:
-            raise ValueError("thresholds must be positive dB values")
+        for name in ("onset_threshold_db", "tail_threshold_db", "burst_low_hz"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         try:
             lo, hi = self.tail_band_hz
         except (TypeError, ValueError):
@@ -81,9 +83,7 @@ class ClickSignature:
         object.__setattr__(self, "tail_band_hz", (lo, hi))
         if not 0.0 < lo < hi:
             raise ValueError(f"tail_band_hz must be an increasing positive pair, got {self.tail_band_hz}")
-        if self.burst_low_hz <= 0.0:
-            raise ValueError(f"burst_low_hz must be positive, got {self.burst_low_hz}")
-        if self.silence_floor_db >= 0.0:
+        if not self.silence_floor_db < 0.0:
             raise ValueError(f"silence_floor_db must be negative, got {self.silence_floor_db}")
 
 
@@ -98,10 +98,11 @@ class _FrontEnd:
     band_min_hz: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.background_window_s < 1.0:
-            raise ValueError("background_window_s must be at least 1.0 s")
-        if self.merge_window_s <= 0:
-            raise ValueError("merge_window_s must be positive")
+        if not 1.0 <= self.background_window_s < math.inf:
+            raise ValueError(f"background_window_s must be finite and at least 1.0 s, got {self.background_window_s}")
+        for name in ("merge_window_s", "band_min_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("window_len", "hop"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -235,8 +236,6 @@ def _background_and_flags(
 
 
 def _window_frames(spec: Spectrogram, window_s: float) -> int:
-    if window_s < 1.0:
-        raise ValueError(f"background window must be at least 1.0 s, got {window_s}")
     return max(2, round(window_s / spec.frame_hop_s))
 
 
@@ -274,6 +273,7 @@ def estimate_background(
     if spec.n_frames < 2:
         raise ValueError(f"need at least 2 frames, got {spec.n_frames}")
     sig = signature if signature is not None else ClickSignature()
+    _FrontEnd(background_window_s=window_s)
     win = _window_frames(spec, window_s)
     burst_cols, tail_cols = _select_columns(bands, sig, spec.sample_rate_hz)
     bg, _, _, _ = _background_and_flags(frame_band_powers(spec, bands), burst_cols, tail_cols, sig, win)
@@ -318,6 +318,7 @@ def detect_events(
     (6) events with onsets closer than ``merge_window_s`` are merged keeping
     the higher score (ties keep the earlier onset).
     """
+    _FrontEnd(background_window_s=background_window_s, merge_window_s=merge_window_s)
     hop_s = spec.frame_hop_s
     if hop_s > sig.burst_min_s:
         raise ValueError(

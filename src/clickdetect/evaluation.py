@@ -24,6 +24,9 @@ from .spectral import Band, band_powers, third_octave_bands
 
 __all__ = ["EvalReport", "BenchmarkResult", "DepthSweep", "match_detections", "run_benchmark", "depth_sweep"]
 
+#: How far a detection's onset may lie from a truth's time and still match it.
+_TOLERANCE_S = 0.25
+
 BENCHMARK_NOTE = (
     "Synthetic benchmark corpus (seeded generators); no factory recordings are "
     "distributed with this package."
@@ -77,7 +80,7 @@ class EvalReport:
 def match_detections(
     detections: Sequence[DetectionEvent],
     truth: GroundTruth,
-    tolerance_s: float = 0.25,
+    tolerance_s: float = _TOLERANCE_S,
 ) -> EvalReport:
     """Greedy chronological matching of truths to connection_click detections.
 
@@ -170,7 +173,7 @@ def _evaluate_clip(args: tuple[str, str, dict, float]) -> tuple[int, int, int, f
 def run_benchmark(
     manifest_path: str | Path,
     detector: ClickDetector | None = None,
-    tolerance_s: float = 0.25,
+    tolerance_s: float = _TOLERANCE_S,
     jobs: int = 1,
 ) -> BenchmarkResult:
     """Detect over every clip in the manifest and aggregate the counts.

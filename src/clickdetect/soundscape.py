@@ -58,10 +58,13 @@ class SimConfig:
     target_snr_db: float = 12.0
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.transient_rate_hz < 0:
-            raise ValueError(f"transient_rate_hz must be >= 0, got {self.transient_rate_hz}")
+        # Each check is written so that NaN fails it.
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+        if not 0.0 <= self.transient_rate_hz < math.inf:
+            raise ValueError(f"transient_rate_hz must be finite and >= 0, got {self.transient_rate_hz}")
+        if not math.isfinite(self.target_snr_db):
+            raise ValueError(f"target_snr_db must be finite, got {self.target_snr_db}")
         times = tuple(float(t) for t in self.click_times_s)
         if any(not 0.0 <= t <= self.duration_s for t in times):
             raise ValueError(f"click times {times} outside [0, {self.duration_s}]")
@@ -109,8 +112,14 @@ class ShroudModel:
             raise ValueError(
                 f"inset_depth_m must lie in [0, {self.reference_depth_m}], got {self.inset_depth_m}"
             )
-        if self.dish_diameter_m <= 0 or self.corner_hz <= 0:
-            raise ValueError("dish_diameter_m and corner_hz must be positive")
+        for name in ("dish_diameter_m", "corner_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(self.attenuation_db):
+            raise ValueError(f"attenuation_db must be finite, got {self.attenuation_db}")
+        for name in ("attenuation_cap_db", "gain_cap_db"):  # an infinite cap is no cap
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
 
     def on_axis_gain_db(self, f_hz) -> np.ndarray:
         f = np.asarray(f_hz, dtype=np.float64)
@@ -382,8 +391,8 @@ def generate_corpus(
     clips_per_snr: int = 20,
     duration_s: float = 60.0,
     clicks_per_clip: int = 4,
-    transient_rate_hz: float = 0.5,
-    sample_rate_hz: int = 48000,
+    transient_rate_hz: float = SimConfig.transient_rate_hz,
+    sample_rate_hz: int = SimConfig.sample_rate_hz,
     base_seed: int = 173,
 ) -> Path:
     """Write the benchmark corpus (wav + truth csv per clip) and its manifest.

@@ -22,21 +22,29 @@ def power_matrix(spec) -> np.ndarray:
     return np.concatenate([block[: n_frames - start].copy() for start, block in spec._power_blocks()])
 
 
+def chunk(cid: bytes, body: bytes) -> bytes:
+    """One RIFF chunk: id, little-endian size, body and a pad byte if odd."""
+    return cid + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def riff(*chunks: bytes, form: bytes = b"WAVE") -> bytes:
+    body = form + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_body(fmt: int, channels: int, rate: int, block_align: int, bits: int, subformat: int | None = None) -> bytes:
+    """A ``fmt `` chunk body; with ``subformat``, the 40-byte EXTENSIBLE layout."""
+    body = struct.pack("<HHIIHH", fmt, channels, rate, (rate * block_align) & 0xFFFFFFFF, block_align, bits)
+    if subformat is not None:
+        # cbSize, wValidBitsPerSample, dwChannelMask, then the SubFormat GUID
+        body += struct.pack("<HHIH", 22, bits, 0, subformat) + bytes(14)
+    return body
+
+
 def raw_wav_bytes(payload: bytes, *, fmt=1, channels=1, rate=RATE, bits=16, block_align=None) -> bytes:
     """Independent WAV writer used as the reader's oracle."""
     block = channels * bits // 8 if block_align is None else block_align
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, fmt, channels, rate, rate * block, block, bits),
-            b"data",
-            struct.pack("<I", len(payload)),
-        ]
-    )
-    return header + payload
+    return riff(chunk(b"fmt ", fmt_body(fmt, channels, rate, block, bits)), chunk(b"data", payload))
 
 
 @pytest.fixture

@@ -6,7 +6,10 @@ import pytest
 
 from clickdetect.audio_io import SampleBuffer, WavFormatError, _mono, read_wav, slice_buffer, write_wav
 
-from conftest import RATE, raw_wav_bytes, tone
+from conftest import RATE, chunk, fmt_body, raw_wav_bytes, riff, tone
+
+FMT_PCM16 = chunk(b"fmt ", fmt_body(1, 1, RATE, 2, 16))
+DATA = chunk(b"data", b"\x00" * 8)
 
 
 class TestSampleBuffer:
@@ -95,6 +98,14 @@ class TestReadWav:
         buf = read_wav(path)
         np.testing.assert_allclose(buf.samples, [0.25, 1.0, -1.0])
 
+    def test_float32_infinity_clamped_nan_named(self, tmp_path):
+        path = tmp_path / "float.wav"
+        path.write_bytes(raw_wav_bytes(struct.pack("<2f", math.inf, -math.inf), fmt=3, bits=32))
+        np.testing.assert_array_equal(read_wav(path).samples, [1.0, -1.0])
+        path.write_bytes(raw_wav_bytes(struct.pack("<3f", 0.25, math.nan, 0.5), fmt=3, bits=32))
+        with pytest.raises(WavFormatError, match="data chunk holds NaN"):
+            read_wav(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "nope.wav")
@@ -152,6 +163,30 @@ class TestReadWav:
         path.write_bytes(raw_wav_bytes(b"\x00" * size, fmt=fmt, bits=bits, block_align=block_align))
         with pytest.raises(WavFormatError, match=f"nBlockAlign = {block_align}"):
             read_wav(path)
+
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            pytest.param(riff(FMT_PCM16, DATA, form=b"AVI "), "form type", id="form-not-wave"),
+            pytest.param(riff(chunk(b"fmt ", bytes(14)), DATA), "fmt chunk truncated", id="short-fmt"),
+            pytest.param(riff(DATA), "no fmt chunk", id="no-fmt"),
+            pytest.param(riff(FMT_PCM16), "no data chunk", id="no-data"),
+            pytest.param(raw_wav_bytes(b"\x00" * 4, fmt=3, bits=16), "wBitsPerSample = 16 for float", id="float-16"),
+        ],
+    )
+    def test_container_errors_named(self, tmp_path, raw, named):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        with pytest.raises(WavFormatError, match=named):
+            read_wav(path)
+
+    def test_extensible_pcm_reads_like_plain_pcm(self, tmp_path):
+        payload = struct.pack("<4h", 16384, -16384, 32767, -32768)
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "extensible.wav"
+        plain.write_bytes(raw_wav_bytes(payload))
+        fmt = chunk(b"fmt ", fmt_body(0xFFFE, 1, RATE, 2, 16, subformat=1))
+        extensible.write_bytes(riff(fmt, chunk(b"data", payload)))
+        np.testing.assert_array_equal(read_wav(extensible).samples, read_wav(plain).samples)
 
     def test_zero_block_align_whole_samples_read(self, tmp_path):
         path = tmp_path / "unaligned.wav"

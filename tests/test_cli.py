@@ -1,14 +1,17 @@
+import dataclasses
 import json
+import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clickdetect.audio_io import SampleBuffer, write_wav
-from clickdetect.cli import CONFIG_SPEC, main
+from clickdetect.cli import _DEFAULTS, CONFIG_SPEC, _settings, build_parser, main
 from clickdetect.detector import ClickDetector
-from clickdetect.soundscape import read_truth_csv
+from clickdetect.soundscape import ShroudModel, SimConfig, read_truth_csv
 
 from conftest import RATE, raw_wav_bytes, tone
 
@@ -59,6 +62,33 @@ class TestDetect:
         write_wav(SampleBuffer(noise, rate), path)
         assert run("detect", str(path), "--out", str(tmp_path / "events.jsonl")) == code
 
+    def test_float_nan_sample_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.wav"
+        path.write_bytes(raw_wav_bytes(struct.pack("<3f", 0.1, math.nan, 0.2), fmt=3, bits=32))
+        assert run("detect", str(path)) == 2
+        assert "NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("onset_threshold_db", "nan"),
+            ("silence_floor_db", "nan"),
+            ("merge_window_s", "nan"),
+            ("background_window_s", "nan"),
+            ("duration_s", "nan"),
+            ("duration_s", "inf"),
+        ],
+    )
+    def test_non_finite_setting_exits_4_naming_key(self, silence_wav, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        if key == "duration_s":
+            command = ["simulate", "--out-dir", str(out)]
+        else:
+            command = ["detect", str(silence_wav), "--out", str(out)]
+        assert run(*command, "--set", f"{key}={value}") == 4
+        assert key in capsys.readouterr().err
+        assert not out.exists()  # no events file, so no NaN in one
+
     def test_short_buffer_exits_4(self, tmp_path):
         path = tmp_path / "blip.wav"
         write_wav(SampleBuffer(np.zeros(256), RATE), path)
@@ -90,16 +120,39 @@ class TestDetect:
 
 class TestConfig:
     def test_detector_keys_parse_their_defaults(self):
-        defaults = ClickDetector().get_params()
-        for key, default in defaults.items():
+        # Every config key, not only the detector's, parses its default's text.
+        for key, default in _DEFAULTS.items():
             text = "1000,8000" if key == "tail_band_hz" else str(default)
             assert CONFIG_SPEC[key](text) == default, key
 
+    def test_keys_come_from_their_owners(self):
+        sim_keys = [f.name for f in dataclasses.fields(SimConfig) if f.name != "click_times_s"]
+        shroud_keys = ["dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db"]
+        assert list(CONFIG_SPEC) == [*ClickDetector().get_params(), *sim_keys, "clicks", *shroud_keys]
+        assert len(CONFIG_SPEC) == 25
+        for key in sim_keys:
+            assert _DEFAULTS[key] == getattr(SimConfig, key)
+        for key in shroud_keys:
+            assert _DEFAULTS[key] == getattr(ShroudModel, key)
+
     def test_readme_lists_the_detector_defaults(self):
+        # Every config key, not only the detector's, with its default.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("### Configuration", 1)[1].split("```", 2)[1]
-        listed = {key: CONFIG_SPEC[key](raw) for key, raw in re.findall(r"(\w+) = (\S+)", section)}
-        assert listed == ClickDetector().get_params()
+        section = readme.split("### Configuration", 1)[1]
+        blocks = "".join(section.split("## File formats", 1)[0].split("```")[1::2])
+        listed = {key: CONFIG_SPEC[key](raw) for key, raw in re.findall(r"(\w+) = (\S+)", blocks)}
+        assert listed == _DEFAULTS
+
+    def test_settings_precedence(self, tmp_path):
+        # owners' defaults < the command's own default < config file < --set < flags
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("seed = 1\nduration_s = 20\ntarget_snr_db = 3\n")
+        argv = ["simulate", "--out-dir", "x", "--config", str(cfg), "--set", "seed=2", "--set", "target_snr_db=4"]
+        settings = _settings(build_parser().parse_args([*argv, "--snr-db", "9"]), duration_s=60.0)
+        assert (settings["duration_s"], settings["seed"], settings["target_snr_db"]) == (20.0, 2, 9.0)
+        assert settings["transient_rate_hz"] == SimConfig.transient_rate_hz and settings["clicks"] == 3
+        bare = _settings(build_parser().parse_args(["simulate", "--out-dir", "x"]), duration_s=60.0)
+        assert bare["duration_s"] == 60.0
 
 
 class TestSimulate:
@@ -160,6 +213,10 @@ class TestSpectrogramAndBands:
         header = img.read_bytes().split(b"\n", 3)
         w, h = (int(v) for v in header[1].split())
         assert (w, h) == size
+
+    @pytest.mark.parametrize("option", [("--set", "frobnicate=1"), ("--config", "any.cfg")])
+    def test_bands_takes_no_config(self, silence_wav, option):
+        assert run("bands", str(silence_wav), *option) == 3
 
     def test_bands_peak_row_is_1khz(self, tmp_path, capsys):
         wav = tmp_path / "tone.wav"

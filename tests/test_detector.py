@@ -64,10 +64,17 @@ class TestClickSignature:
             {"tail_threshold_db": -3.0},
             {"tail_band_hz": (8000.0, 1000.0)},
             {"silence_floor_db": 10.0},
+            {"burst_min_s": math.nan},
+            {"tail_max_s": math.nan},
+            {"onset_threshold_db": math.nan},
+            {"tail_threshold_db": math.nan},
+            {"tail_band_hz": (math.nan, 8000.0)},
+            {"burst_low_hz": math.nan},
+            {"silence_floor_db": math.nan},
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             ClickSignature(**kwargs)
 
 
@@ -110,8 +117,9 @@ class TestEstimateBackground:
     def test_too_short_window_or_spectrogram(self):
         spec = stft(SampleBuffer(np.zeros(3 * RATE), RATE))
         bands = third_octave_bands(100, RATE / 2)
-        with pytest.raises(ValueError):
-            estimate_background(spec, bands, window_s=0.5)
+        for window_s in (0.5, math.nan):
+            with pytest.raises(ValueError, match="background_window_s"):
+                estimate_background(spec, bands, window_s=window_s)
         one_frame = stft(SampleBuffer(np.zeros(1024), RATE))
         with pytest.raises(ValueError):
             estimate_background(one_frame, bands)
@@ -312,6 +320,14 @@ class TestDetectEvents:
         with pytest.raises(ValueError, match="at least 1.0 s"):
             detect_events(spec, ClickSignature(), bands, background_window_s=0.5)
 
+    @pytest.mark.parametrize("window_s", [0.0, -1.0, math.nan])
+    def test_merge_window_checked(self, window_s):
+        # A non-positive or NaN merge window used to return the events unmerged.
+        spec = stft(SampleBuffer(np.zeros(3 * RATE), RATE))
+        bands = ClickDetector().bands_for(RATE)
+        with pytest.raises(ValueError, match="merge_window_s"):
+            detect_events(spec, ClickSignature(), bands, merge_window_s=window_s)
+
 
 class TestDetectionEvent:
     def test_score_bounds_enforced(self):
@@ -357,6 +373,10 @@ class TestClickDetectorEstimator:
             {"hop": True},
             {"tail_band_hz": 8000.0},
             {"tail_band_hz": (1000.0, 4000.0, 8000.0)},
+            {"background_window_s": math.nan},
+            {"background_window_s": math.inf},
+            {"merge_window_s": math.nan},
+            {"band_min_hz": math.nan},
         )
         for bad in bad_params:
             with pytest.raises(ValueError, match=next(iter(bad)) if len(bad) == 1 else None):

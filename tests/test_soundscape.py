@@ -22,7 +22,7 @@ from clickdetect.soundscape import (
 )
 from clickdetect.spectral import band_powers, third_octave_bands
 
-from conftest import RATE
+from conftest import RATE, tone
 
 
 class TestSimConfig:
@@ -33,6 +33,19 @@ class TestSimConfig:
             SimConfig(transient_rate_hz=-1.0)
         with pytest.raises(ValueError):
             SimConfig(duration_s=10.0, click_times_s=(11.0,))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"duration_s": math.nan},
+            {"duration_s": math.inf},
+            {"transient_rate_hz": math.nan},
+            {"target_snr_db": math.nan},
+        ],
+    )
+    def test_non_finite_rejected_by_name(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SimConfig(**kwargs)
 
 
 class TestGroundTruth:
@@ -290,6 +303,22 @@ class TestShroud:
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):
             ShroudModel(inset_depth_m=0.7)
+
+    @pytest.mark.parametrize(
+        "name", ["dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db"]
+    )
+    def test_nan_rejected_by_name(self, name):
+        with pytest.raises(ValueError, match=name):
+            ShroudModel(**{name: math.nan})
+
+    @pytest.mark.parametrize("freq_hz", [500.0, 10000.0])
+    def test_on_axis_raises_band_power_by_dish_gain(self, freq_hz):
+        # 500 Hz lies on the rising part of the gain, 10 kHz on its cap.
+        model = ShroudModel()
+        x = tone(freq_hz, 1.0, 0.01)
+        bands = [b for b in third_octave_bands(100, 20000) if b.lower_hz <= freq_hz < b.upper_hz]
+        rise = band_powers(apply_shroud(x, model, on_axis=True), bands).power_db - band_powers(x, bands).power_db
+        assert float(rise[0]) == pytest.approx(float(model.on_axis_gain_db(freq_hz)), abs=0.1)
 
 
 class TestSpacedClickTimes:
