@@ -3,6 +3,7 @@
 Subcommands: detect, simulate, spectrogram, bands, depth-sweep, evaluate.
 Settings merge defaults <- config file <- --set <- a command's flags (last
 wins); the config file is plain ``key = value`` lines with ``#`` comments.
+Each command accepts only the keys it reads.
 Exit codes: 0 success, 2 I/O error, 3 configuration error, 4 precondition
 violation.
 """
@@ -48,7 +49,7 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-_DETECTOR_DEFAULTS = ClickDetector().get_params()
+_DETECTOR_KEYS = tuple(ClickDetector().get_params())
 _SIM_KEYS = tuple(field.name for field in fields(SimConfig) if field.name != "click_times_s")
 _SHROUD_KEYS = ("dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db")
 
@@ -56,7 +57,7 @@ _SHROUD_KEYS = ("dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_c
 #: parameters, the soundscape's knobs, the CLI's own click count and the
 #: shroud model's fields.
 _DEFAULTS: dict = {
-    **_DETECTOR_DEFAULTS,
+    **ClickDetector().get_params(),
     **{key: getattr(SimConfig, key) for key in _SIM_KEYS},
     "clicks": 3,
     **{key: getattr(ShroudModel, key) for key in _SHROUD_KEYS},
@@ -101,18 +102,19 @@ def load_config(path: str | None, set_args: list[str] | None) -> dict:
     return merged
 
 
-def _settings(args, **command_defaults) -> dict:
-    """Every config key's value for one command, the last source winning:
-    the owners' defaults, ``command_defaults``, the config file, ``--set``,
-    then the command's flags, each of which stores under its config key."""
-    settings = {**_DEFAULTS, **command_defaults, **load_config(args.config, args.set)}
-    flags = {key: getattr(args, key, None) for key in CONFIG_SPEC}
+def _settings(args, keys, **command_defaults) -> dict:
+    """The value of each of the command's config ``keys``, the last source
+    winning: the owners' defaults, ``command_defaults``, the config file,
+    ``--set``, then the command's flags, each of which stores under its key.
+    Any other key in the config file or ``--set`` is a config error."""
+    configured = load_config(args.config, args.set)
+    for key in configured:
+        if key not in keys:
+            raise ConfigError(f"{args.command} does not read configuration key {key!r}")
+    settings = {key: _DEFAULTS[key] for key in keys} | command_defaults | configured
+    flags = {key: getattr(args, key, None) for key in keys}
     settings.update((key, value) for key, value in flags.items() if value is not None)
     return settings
-
-
-def _owned(settings: dict, keys) -> dict:
-    return {key: settings[key] for key in keys}
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -123,7 +125,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_detect(args) -> int:
-    detector = ClickDetector(**_owned(_settings(args), _DETECTOR_DEFAULTS))
+    detector = ClickDetector(**_settings(args, _DETECTOR_KEYS))
     buffer = read_wav(args.input)
     events = detector.predict(buffer)
     lines = "".join(json.dumps(e.to_json_dict()) + "\n" for e in events)
@@ -132,8 +134,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    settings = _settings(args, duration_s=60.0)
-    cfg, clicks = SimConfig(**_owned(settings, _SIM_KEYS)), settings["clicks"]
+    settings = _settings(args, (*_SIM_KEYS, "clicks"), duration_s=60.0)
+    clicks = settings.pop("clicks")
+    cfg = SimConfig(**settings)
     out_dir = Path(args.out_dir)
     entry = _write_clip(out_dir, "mix.wav", "truth.csv", cfg, clicks)
 
@@ -146,9 +149,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    detector = ClickDetector(**_owned(_settings(args), _DETECTOR_DEFAULTS))
+    settings = _settings(args, ("window_len", "hop"))
     buffer = read_wav(args.input)
-    spec = stft(buffer, detector.window_len, detector.hop)
+    spec = stft(buffer, settings["window_len"], settings["hop"])
     spectrogram_image(spec, args.out, db_floor=args.floor_db)
     return EXIT_OK
 
@@ -162,18 +165,19 @@ def cmd_bands(args) -> int:
 
 
 def cmd_depth_sweep(args) -> int:
-    settings = _settings(args, duration_s=16.0)
+    # pink_noise reads only the rate, the seed and the duration of its SimConfig.
+    settings = _settings(args, ("sample_rate_hz", "seed", "duration_s", *_SHROUD_KEYS), duration_s=16.0)
     depths = DEFAULT_DEPTHS_M if args.depths is None else tuple(
         float(d) for d in args.depths.split(",") if d.strip()
     )
-    model = ShroudModel(**_owned(settings, _SHROUD_KEYS))
-    table = depth_sweep(model, depths, SimConfig(**_owned(settings, _SIM_KEYS)))
+    model = ShroudModel(**{key: settings.pop(key) for key in _SHROUD_KEYS})
+    table = depth_sweep(model, depths, SimConfig(**settings))
     _write_text(args.out, table.as_csv())
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    detector = ClickDetector(**_owned(_settings(args), _DETECTOR_DEFAULTS))
+    detector = ClickDetector(**_settings(args, _DETECTOR_KEYS))
     result = run_benchmark(args.manifest, detector, jobs=args.jobs)
     print(result.format_text())
     if args.json:

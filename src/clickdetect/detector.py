@@ -35,15 +35,25 @@ from .spectral import (
 
 __all__ = [
     "ClickSignature",
-    "NoiseEstimate",
     "DetectionEvent",
-    "estimate_background",
     "detect_events",
     "snr_db",
     "ClickDetector",
 ]
 
 Label = Literal["connection_click", "other_transient"]
+
+
+def _require_finite(settings, unbounded: Sequence[str] = ()) -> None:
+    """Raise naming the first field of the dataclass ``settings`` that holds a
+    non-finite number, alone or in a tuple. ``+inf`` passes in the
+    ``unbounded`` fields, where it means no limit."""
+    for field in fields(settings):
+        value = getattr(settings, field.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, numbers.Real) and not math.isfinite(v):
+                if not (v == math.inf and field.name in unbounded):
+                    raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,14 +76,6 @@ class ClickSignature:
     silence_floor_db: float = -120.0
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it.
-        if not 0.0 < self.burst_min_s < self.burst_max_s:
-            raise ValueError(f"need 0 < burst_min_s < burst_max_s, got ({self.burst_min_s}, {self.burst_max_s})")
-        if not 0.0 < self.tail_min_s < self.tail_max_s:
-            raise ValueError(f"need 0 < tail_min_s < tail_max_s, got ({self.tail_min_s}, {self.tail_max_s})")
-        for name in ("onset_threshold_db", "tail_threshold_db", "burst_low_hz"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         try:
             lo, hi = self.tail_band_hz
         except (TypeError, ValueError):
@@ -81,6 +83,14 @@ class ClickSignature:
         if not all(isinstance(v, numbers.Real) for v in (lo, hi)):
             raise ValueError(f"tail_band_hz must be a pair of numbers, got {self.tail_band_hz!r}")
         object.__setattr__(self, "tail_band_hz", (lo, hi))
+        _require_finite(self)
+        if not 0.0 < self.burst_min_s < self.burst_max_s:
+            raise ValueError(f"need 0 < burst_min_s < burst_max_s, got ({self.burst_min_s}, {self.burst_max_s})")
+        if not 0.0 < self.tail_min_s < self.tail_max_s:
+            raise ValueError(f"need 0 < tail_min_s < tail_max_s, got ({self.tail_min_s}, {self.tail_max_s})")
+        for name in ("onset_threshold_db", "tail_threshold_db", "burst_low_hz"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < lo < hi:
             raise ValueError(f"tail_band_hz must be an increasing positive pair, got {self.tail_band_hz}")
         if not self.silence_floor_db < 0.0:
@@ -98,8 +108,9 @@ class _FrontEnd:
     band_min_hz: float = 100.0
 
     def __post_init__(self) -> None:
-        if not 1.0 <= self.background_window_s < math.inf:
-            raise ValueError(f"background_window_s must be finite and at least 1.0 s, got {self.background_window_s}")
+        _require_finite(self)
+        if not self.background_window_s >= 1.0:
+            raise ValueError(f"background_window_s must be at least 1.0 s, got {self.background_window_s}")
         for name in ("merge_window_s", "band_min_hz"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -107,14 +118,6 @@ class _FrontEnd:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class NoiseEstimate:
-    """Causal per-band background power, one row per spectrogram frame."""
-
-    background_power: np.ndarray
-    window_s: float
 
 
 @dataclass(frozen=True)
@@ -156,26 +159,6 @@ def snr_db(event_power: float, background_power: float) -> float:
     if event_power == 0.0:
         return -math.inf
     return 10.0 * math.log10(event_power / background_power)
-
-
-def _select_columns(
-    bands: Sequence[Band], sig: ClickSignature, sample_rate_hz: int
-) -> tuple[list[int], list[int]]:
-    # Burst bands must lie entirely above burst_low_hz so a band-limited tail
-    # cannot keep the burst gate alive. Tail bands are selected by center
-    # (closed interval): the grid's "8 kHz band" is centered at 8000 Hz, and
-    # it is where the tail clears a low-frequency-heavy floor most readily.
-    nyquist = sample_rate_hz / 2.0 * (1.0 + 1e-12)
-    burst_cols = [
-        i for i, b in enumerate(bands) if b.lower_hz >= sig.burst_low_hz and b.upper_hz <= nyquist
-    ]
-    lo, hi = sig.tail_band_hz
-    tail_cols = [
-        i
-        for i, b in enumerate(bands)
-        if lo <= b.center_hz <= hi and b.upper_hz <= nyquist and i not in burst_cols
-    ]
-    return burst_cols, tail_cols
 
 
 def _background_and_flags(
@@ -235,10 +218,6 @@ def _background_and_flags(
     return bg, burst_mask, tail_mask, burst_total
 
 
-def _window_frames(spec: Spectrogram, window_s: float) -> int:
-    return max(2, round(window_s / spec.frame_hop_s))
-
-
 def _gated_band_power(
     spec: Spectrogram, bands: Sequence[Band], sig: ClickSignature
 ) -> tuple[np.ndarray, list[int], list[int]]:
@@ -247,7 +226,20 @@ def _gated_band_power(
     Returns that matrix plus the burst and tail column lists indexing it.
     Raises if ``bands`` has no burst band or no tail band for ``sig``.
     """
-    burst_cols, tail_cols = _select_columns(bands, sig, spec.sample_rate_hz)
+    # Burst bands must lie entirely above burst_low_hz so a band-limited tail
+    # cannot keep the burst gate alive. Tail bands are selected by center
+    # (closed interval): the grid's "8 kHz band" is centered at 8000 Hz, and
+    # it is where the tail clears a low-frequency-heavy floor most readily.
+    nyquist = spec.sample_rate_hz / 2.0 * (1.0 + 1e-12)
+    burst_cols = [
+        i for i, b in enumerate(bands) if b.lower_hz >= sig.burst_low_hz and b.upper_hz <= nyquist
+    ]
+    lo, hi = sig.tail_band_hz
+    tail_cols = [
+        i
+        for i, b in enumerate(bands)
+        if lo <= b.center_hz <= hi and b.upper_hz <= nyquist and i not in burst_cols
+    ]
     if not burst_cols:
         raise ValueError(f"no band lies fully between burst_low_hz={sig.burst_low_hz} Hz and Nyquist")
     if not tail_cols:
@@ -257,27 +249,6 @@ def _gated_band_power(
     band_power = frame_band_powers(spec, bands)[:, tail_cols + burst_cols]
     n_tail = len(tail_cols)
     return band_power, list(range(n_tail, band_power.shape[1])), list(range(n_tail))
-
-
-def estimate_background(
-    spec: Spectrogram,
-    bands: Sequence[Band],
-    window_s: float = _FrontEnd.background_window_s,
-    signature: ClickSignature | None = None,
-) -> NoiseEstimate:
-    """Per-frame background power for each band (see module docstring).
-
-    ``signature`` supplies the thresholds used to flag event-candidate frames
-    for exclusion; detector defaults apply when omitted.
-    """
-    if spec.n_frames < 2:
-        raise ValueError(f"need at least 2 frames, got {spec.n_frames}")
-    sig = signature if signature is not None else ClickSignature()
-    _FrontEnd(background_window_s=window_s)
-    win = _window_frames(spec, window_s)
-    burst_cols, tail_cols = _select_columns(bands, sig, spec.sample_rate_hz)
-    bg, _, _, _ = _background_and_flags(frame_band_powers(spec, bands), burst_cols, tail_cols, sig, win)
-    return NoiseEstimate(bg, window_s)
 
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -328,7 +299,7 @@ def detect_events(
     if sig.tail_band_hz[1] > nyquist * (1.0 + 1e-12):
         raise ValueError(f"tail band {sig.tail_band_hz} extends above Nyquist ({nyquist} Hz)")
     # Median estimation is the hot path; run it only over the gated bands.
-    win = _window_frames(spec, background_window_s)
+    win = max(2, round(background_window_s / hop_s))
     band_power, burst_cols, tail_cols = _gated_band_power(spec, bands, sig)
     bg, burst_mask, tail_mask, burst_total = _background_and_flags(band_power, burst_cols, tail_cols, sig, win)
     floor = 10.0 ** (sig.silence_floor_db / 10.0)

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class BenchmarkResult:
     clip_count: int
     audio_seconds: float
     runtime_s: float
-    note: str = BENCHMARK_NOTE
+    note: ClassVar[str] = BENCHMARK_NOTE
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,22 +158,21 @@ class BenchmarkResult:
         return "\n".join(lines)
 
 
-def _evaluate_clip(args: tuple[str, str, dict, float]) -> tuple[int, int, int, float]:
+def _evaluate_clip(args: tuple[str, str, dict]) -> tuple[int, int, int, float]:
     """Match one clip's detections; returns (TP, FP, FN, audio seconds)."""
-    wav_path, truth_path, params, tolerance_s = args
+    wav_path, truth_path, params = args
     detector = ClickDetector(**params)
     try:
         buffer = read_wav(wav_path)
     except (OSError, ValueError) as exc:
         raise RuntimeError(f"cannot evaluate clip {wav_path}: {exc}") from exc
-    report = match_detections(detector.predict(buffer), read_truth_csv(truth_path), tolerance_s)
+    report = match_detections(detector.predict(buffer), read_truth_csv(truth_path))
     return report.true_positives, report.false_positives, report.false_negatives, buffer.duration_s
 
 
 def run_benchmark(
     manifest_path: str | Path,
     detector: ClickDetector | None = None,
-    tolerance_s: float = _TOLERANCE_S,
     jobs: int = 1,
 ) -> BenchmarkResult:
     """Detect over every clip in the manifest and aggregate the counts.
@@ -203,11 +202,7 @@ def run_benchmark(
     params = detector.get_params()
     base = manifest_path.parent
 
-    tasks = []
-    for entry in entries:
-        wav = str(base / entry["wav_path"])
-        truth = str(base / entry["truth_path"])
-        tasks.append((wav, truth, params, tolerance_s))
+    tasks = [(str(base / entry["wav_path"]), str(base / entry["truth_path"]), params) for entry in entries]
 
     started = time.perf_counter()
     if jobs > 1 and len(tasks) > 1:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .audio_io import DEFAULT_SAMPLE_RATE_HZ, SampleBuffer, write_wav
-from .detector import ClickDetector, ClickSignature, _gated_band_power
+from .detector import ClickDetector, _gated_band_power, _require_finite
 from .spectral import stft
 
 __all__ = [
@@ -45,6 +45,12 @@ BURST_S = 0.05
 TAIL_S = 0.30
 TAIL_BELOW_BURST_DB = 10.0
 
+#: Spacing of generated click times (seconds): the least gap between two
+#: onsets, and the clear stretch kept at each end of a clip, which keeps every
+#: click out of the detector's first background window.
+_CLICK_GAP_S = 2.0
+_CLICK_MARGIN_S = 2.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -58,17 +64,14 @@ class SimConfig:
     target_snr_db: float = 12.0
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it.
-        if not 0.0 < self.duration_s < math.inf:
-            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
-        if not 0.0 <= self.transient_rate_hz < math.inf:
-            raise ValueError(f"transient_rate_hz must be finite and >= 0, got {self.transient_rate_hz}")
-        if not math.isfinite(self.target_snr_db):
-            raise ValueError(f"target_snr_db must be finite, got {self.target_snr_db}")
-        times = tuple(float(t) for t in self.click_times_s)
-        if any(not 0.0 <= t <= self.duration_s for t in times):
-            raise ValueError(f"click times {times} outside [0, {self.duration_s}]")
-        object.__setattr__(self, "click_times_s", times)
+        object.__setattr__(self, "click_times_s", tuple(float(t) for t in self.click_times_s))
+        _require_finite(self)
+        if not self.duration_s > 0.0:
+            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if not self.transient_rate_hz >= 0.0:
+            raise ValueError(f"transient_rate_hz must be >= 0, got {self.transient_rate_hz}")
+        if any(not 0.0 <= t <= self.duration_s for t in self.click_times_s):
+            raise ValueError(f"click times {self.click_times_s} outside [0, {self.duration_s}]")
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,7 @@ class ShroudModel:
     speed_of_sound_m_s: float = 343.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, unbounded=("attenuation_cap_db", "gain_cap_db"))  # an infinite cap is no cap
         if not 0.0 <= self.inset_depth_m <= self.reference_depth_m + 1e-9:
             raise ValueError(
                 f"inset_depth_m must lie in [0, {self.reference_depth_m}], got {self.inset_depth_m}"
@@ -115,22 +119,16 @@ class ShroudModel:
         for name in ("dish_diameter_m", "corner_hz"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not math.isfinite(self.attenuation_db):
-            raise ValueError(f"attenuation_db must be finite, got {self.attenuation_db}")
-        for name in ("attenuation_cap_db", "gain_cap_db"):  # an infinite cap is no cap
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got nan")
 
     def on_axis_gain_db(self, f_hz) -> np.ndarray:
         f = np.asarray(f_hz, dtype=np.float64)
         ka = np.pi * self.dish_diameter_m * f / self.speed_of_sound_m_s
         return np.minimum(self.gain_cap_db, 20.0 * np.log10(np.maximum(1.0, ka)))
 
-    def off_axis_attenuation_db(self, f_hz, depth_m: float | None = None) -> np.ndarray:
-        depth = self.inset_depth_m if depth_m is None else depth_m
+    def off_axis_attenuation_db(self, f_hz) -> np.ndarray:
         f = np.asarray(f_hz, dtype=np.float64)
         octaves = np.log2(np.maximum(1.0, f / self.corner_hz))
-        raw = self.attenuation_db * (depth / self.reference_depth_m) * octaves
+        raw = self.attenuation_db * (self.inset_depth_m / self.reference_depth_m) * octaves
         return np.minimum(self.attenuation_cap_db, raw)
 
 
@@ -255,21 +253,15 @@ def synth_click(sample_rate_hz: int, seed: int = 0) -> SampleBuffer:
     return SampleBuffer(x, rate)
 
 
-def mix_at_snr(
-    click: SampleBuffer,
-    noise: SampleBuffer,
-    cfg: SimConfig,
-    burst_low_hz: float = ClickSignature.burst_low_hz,
-) -> tuple[SampleBuffer, GroundTruth]:
+def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tuple[SampleBuffer, GroundTruth]:
     """Inject the click at each configured time, scaled to the target SNR.
 
     The click is scaled so its peak burst-band (above ``burst_low_hz``) frame
     power exceeds the noise's time-averaged power in the same bands by
     ``cfg.target_snr_db``; both are measured with the front end of a default
-    ``ClickDetector`` with that ``burst_low_hz``. The noise component is
-    preserved exactly outside the injection windows; samples that leave full
-    scale are clamped and the affected injection is flagged in the ground
-    truth.
+    ``ClickDetector``. The noise component is preserved exactly outside the
+    injection windows; samples that leave full scale are clamped and the
+    affected injection is flagged in the ground truth.
     """
     if click.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError(
@@ -286,7 +278,7 @@ def mix_at_snr(
     out = noise.samples.copy()
     clipped: list[float] = []
     if times:
-        detector = ClickDetector(burst_low_hz=burst_low_hz)
+        detector = ClickDetector()
         bands, sig = detector.bands_for(rate), detector.signature()
 
         def burst_track(buffer: SampleBuffer) -> np.ndarray:
@@ -333,23 +325,17 @@ def apply_shroud(buffer: SampleBuffer, model: ShroudModel, on_axis: bool = False
     return SampleBuffer(y, buffer.sample_rate_hz)
 
 
-def spaced_click_times(
-    count: int,
-    duration_s: float,
-    rng: np.random.Generator,
-    min_gap_s: float = 2.0,
-    margin_s: float = 2.0,
-    click_duration_s: float = CLICK_TOTAL_S,
-) -> tuple[float, ...]:
-    """Random injection times, uniformly placed with a minimum spacing."""
+def spaced_click_times(count: int, duration_s: float, rng: np.random.Generator) -> tuple[float, ...]:
+    """Random injection times, uniformly placed: onsets at least ``_CLICK_GAP_S``
+    apart, every click at least ``_CLICK_MARGIN_S`` from both ends of the clip."""
     if count == 0:
         return ()
-    usable = duration_s - 2.0 * margin_s - click_duration_s
-    slack = usable - (count - 1) * min_gap_s
+    usable = duration_s - 2.0 * _CLICK_MARGIN_S - CLICK_TOTAL_S
+    slack = usable - (count - 1) * _CLICK_GAP_S
     if slack < 0:
-        raise ValueError(f"cannot place {count} clicks {min_gap_s} s apart in {duration_s} s")
+        raise ValueError(f"cannot place {count} clicks {_CLICK_GAP_S} s apart in {duration_s} s")
     offsets = np.sort(rng.uniform(0.0, slack, count))
-    times = margin_s + offsets + min_gap_s * np.arange(count)
+    times = _CLICK_MARGIN_S + offsets + _CLICK_GAP_S * np.arange(count)
     return tuple(round(float(t), 6) for t in times)
 
 
@@ -376,6 +362,8 @@ def _write_clip(out_dir: Path, wav_name: str, truth_name: str, cfg: SimConfig, c
     and the truth CSV into ``out_dir``, made if missing once the mix succeeds,
     and returns the clip's manifest entry.
     """
+    if clicks < 0:
+        raise ValueError(f"clicks must be >= 0, got {clicks}")
     times = spaced_click_times(clicks, cfg.duration_s, np.random.default_rng(cfg.seed))
     cfg = replace(cfg, click_times_s=times)
     mix, truth = mix_at_snr(synth_click(cfg.sample_rate_hz, cfg.seed), factory_noise(cfg), cfg)

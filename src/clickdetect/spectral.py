@@ -234,8 +234,8 @@ def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80
     Two passes over the power blocks, one for the peak and one for the
     pixels, keep the memory to about the image's own size.
     """
-    if db_floor >= 0:
-        raise ValueError(f"db_floor must be negative, got {db_floor}")
+    if not -math.inf < db_floor < 0:
+        raise ValueError(f"db_floor must be finite and negative, got {db_floor}")
     n_frames = spec.n_frames
     # Of the reused last block only the first n_frames - start rows are valid.
     peak = max(float(block[: n_frames - start].max()) for start, block in spec._power_blocks())

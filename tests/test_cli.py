@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from clickdetect.audio_io import SampleBuffer, write_wav
-from clickdetect.cli import _DEFAULTS, CONFIG_SPEC, _settings, build_parser, main
+from clickdetect.cli import _DEFAULTS, _SIM_KEYS, CONFIG_SPEC, _settings, build_parser, main
 from clickdetect.detector import ClickDetector
 from clickdetect.soundscape import ShroudModel, SimConfig, read_truth_csv
 
@@ -77,17 +77,36 @@ class TestDetect:
             ("background_window_s", "nan"),
             ("duration_s", "nan"),
             ("duration_s", "inf"),
+            ("onset_threshold_db", "inf"),
+            ("tail_threshold_db", "inf"),
+            ("merge_window_s", "inf"),
+            ("burst_max_s", "inf"),
+            ("tail_max_s", "inf"),
+            ("silence_floor_db", "-inf"),
+            ("band_min_hz", "inf"),
+            ("tail_band_hz", "1000,inf"),
+            ("dish_diameter_m", "inf"),
+            ("corner_hz", "inf"),
+            ("gain_cap_db", "-inf"),
+            ("attenuation_cap_db", "-inf"),
         ],
     )
     def test_non_finite_setting_exits_4_naming_key(self, silence_wav, tmp_path, capsys, key, value):
         out = tmp_path / "out"
         if key == "duration_s":
             command = ["simulate", "--out-dir", str(out)]
+        elif key in _DEFAULTS and key not in ClickDetector().get_params():
+            command = ["depth-sweep", "--duration", "1", "--out", str(out)]
         else:
             command = ["detect", str(silence_wav), "--out", str(out)]
         assert run(*command, "--set", f"{key}={value}") == 4
         assert key in capsys.readouterr().err
         assert not out.exists()  # no events file, so no NaN in one
+
+    @pytest.mark.parametrize("key", ["attenuation_cap_db", "gain_cap_db"])
+    def test_infinite_cap_means_no_cap(self, tmp_path, key):
+        out = tmp_path / "sweep.csv"
+        assert run("depth-sweep", "--duration", "1", "--depths", "0.3", "--set", f"{key}=inf", "--out", str(out)) == 0
 
     def test_short_buffer_exits_4(self, tmp_path):
         path = tmp_path / "blip.wav"
@@ -104,6 +123,11 @@ class TestDetect:
 
     def test_bad_flag_exits_3(self, tmp_path):
         assert run("simulate", "--out-dir", str(tmp_path), "--clicks", "three") == 3
+
+    def test_negative_click_count_exits_4_naming_clicks(self, tmp_path, capsys):
+        assert run("simulate", "--out-dir", str(tmp_path / "sim"), "--clicks", "-1", "--duration", "8") == 4
+        assert "clicks" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
     def test_config_file_and_set_override(self, tmp_path):
         sim_dir = tmp_path / "sim"
@@ -148,11 +172,35 @@ class TestConfig:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("seed = 1\nduration_s = 20\ntarget_snr_db = 3\n")
         argv = ["simulate", "--out-dir", "x", "--config", str(cfg), "--set", "seed=2", "--set", "target_snr_db=4"]
-        settings = _settings(build_parser().parse_args([*argv, "--snr-db", "9"]), duration_s=60.0)
+        keys = (*_SIM_KEYS, "clicks")
+        settings = _settings(build_parser().parse_args([*argv, "--snr-db", "9"]), keys, duration_s=60.0)
         assert (settings["duration_s"], settings["seed"], settings["target_snr_db"]) == (20.0, 2, 9.0)
         assert settings["transient_rate_hz"] == SimConfig.transient_rate_hz and settings["clicks"] == 3
-        bare = _settings(build_parser().parse_args(["simulate", "--out-dir", "x"]), duration_s=60.0)
+        assert list(settings) == list(keys)
+        bare = _settings(build_parser().parse_args(["simulate", "--out-dir", "x"]), keys, duration_s=60.0)
         assert bare["duration_s"] == 60.0
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("depth-sweep",), "onset_threshold_db=70"),
+            (("depth-sweep",), "clicks=9"),
+            (("depth-sweep",), "target_snr_db=3"),
+            (("simulate", "--out-dir", "x"), "corner_hz=3"),
+            (("simulate", "--out-dir", "x"), "hop=128"),
+            (("spectrogram", "in.wav", "--out", "x.pgm"), "onset_threshold_db=6"),
+            (("detect", "in.wav"), "seed=1"),
+            (("evaluate", "m.json"), "attenuation_db=4"),
+        ],
+    )
+    def test_key_the_command_does_not_read_exits_3(self, tmp_path, monkeypatch, capsys, argv, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(key.replace("=", " = ") + "\n")
+        for option in (("--set", key), ("--config", str(cfg))):
+            assert run(*argv, *option) == 3
+            err = capsys.readouterr().err
+            assert argv[0] in err and key.split("=")[0] in err
 
 
 class TestSimulate:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -13,10 +14,10 @@ from clickdetect.detector import (
     _background_and_flags,
     _FrontEnd,
     detect_events,
-    estimate_background,
     snr_db,
 )
-from clickdetect.soundscape import SimConfig, factory_noise, mix_at_snr, pink_noise, synth_click
+from clickdetect.evaluation import match_detections
+from clickdetect.soundscape import CLICK_TOTAL_S, SimConfig, factory_noise, mix_at_snr, pink_noise, synth_click
 from clickdetect.spectral import frame_band_powers, stft, third_octave_bands
 
 from conftest import RATE
@@ -78,22 +79,32 @@ class TestClickSignature:
             ClickSignature(**kwargs)
 
 
+def background(spec, bands):
+    """The detector's background pass run over every band, not only the gated
+    ones; its burst and tail bands still flag the frames it leaves out."""
+    sig = ClickSignature()
+    nyquist = spec.sample_rate_hz / 2.0
+    burst = [i for i, b in enumerate(bands) if b.lower_hz >= sig.burst_low_hz and b.upper_hz <= nyquist]
+    lo, hi = sig.tail_band_hz
+    tail = [i for i, b in enumerate(bands) if lo <= b.center_hz <= hi and b.upper_hz <= nyquist and i not in burst]
+    win = max(2, round(_FrontEnd.background_window_s / spec.frame_hop_s))
+    return _background_and_flags(frame_band_powers(spec, bands), burst, tail, sig, win)[0]
+
+
 class TestEstimateBackground:
     def test_silence_background_zero(self):
         spec = stft(SampleBuffer(np.zeros(3 * RATE), RATE))
         bands = third_octave_bands(100, RATE / 2)
-        est = estimate_background(spec, bands)
-        assert not est.background_power.any()
+        assert not background(spec, bands).any()
 
     def test_stationary_white_tracks_band_mean(self, rng):
         x = SampleBuffer(0.0125 * rng.standard_normal(6 * RATE), RATE)
         spec = stft(x)
         bands = [b for b in third_octave_bands(100, RATE / 2) if b.upper_hz <= RATE / 2]
-        est = estimate_background(spec, bands)
         powers = frame_band_powers(spec, bands)
         start = round(1.0 / spec.frame_hop_s)
         long_run_mean = powers[start:].mean(axis=0)
-        averaged_estimate = est.background_power[start:].mean(axis=0)
+        averaged_estimate = background(spec, bands)[start:].mean(axis=0)
         # narrow low bands hold 2-3 FFT bins whose median skews low; the
         # +-1 dB agreement is a claim about bands wide enough to average
         picked = [i for i, b in enumerate(bands) if b.center_hz >= 630]
@@ -107,22 +118,12 @@ class TestEstimateBackground:
         burst[3 * RATE : 3 * RATE + seg.size] = seg
         bands = [b for b in third_octave_bands(100, RATE / 2) if b.upper_hz <= RATE / 2]
         picked = [i for i, b in enumerate(bands) if b.center_hz >= 630]
-        bg_clean = estimate_background(stft(SampleBuffer(base, RATE)), bands).background_power
-        bg_hit = estimate_background(stft(SampleBuffer(base + burst, RATE)), bands).background_power
+        bg_clean = background(stft(SampleBuffer(base, RATE)), bands)
+        bg_hit = background(stft(SampleBuffer(base + burst, RATE)), bands)
         hop_s = 256 / RATE
         t0, t1 = round(3.2 / hop_s), round(4.8 / hop_s)
         shift = 10 * np.log10(bg_hit[t0:t1][:, picked] / bg_clean[t0:t1][:, picked])
         assert np.abs(shift).max() < 0.5
-
-    def test_too_short_window_or_spectrogram(self):
-        spec = stft(SampleBuffer(np.zeros(3 * RATE), RATE))
-        bands = third_octave_bands(100, RATE / 2)
-        for window_s in (0.5, math.nan):
-            with pytest.raises(ValueError, match="background_window_s"):
-                estimate_background(spec, bands, window_s=window_s)
-        one_frame = stft(SampleBuffer(np.zeros(1024), RATE))
-        with pytest.raises(ValueError):
-            estimate_background(one_frame, bands)
 
 
 def reference_background_and_flags(band_power, burst_cols, tail_cols, sig, win):
@@ -327,6 +328,67 @@ class TestDetectEvents:
         bands = ClickDetector().bands_for(RATE)
         with pytest.raises(ValueError, match="merge_window_s"):
             detect_events(spec, ClickSignature(), bands, merge_window_s=window_s)
+
+
+EDGE_SEEDS = (1, 2, 3, 4)
+
+
+@functools.lru_cache(maxsize=None)
+def edge_noise(seed: int, duration_s: float):
+    return factory_noise(SimConfig(seed=seed, duration_s=duration_s, transient_rate_hz=0.5))
+
+
+def edge_mix(seed: int, at_s: float, clip_s: float = 10.0):
+    """An 18 dB click at ``at_s`` in ``clip_s`` of factory noise with 0.5 Hz
+    transients, plus its truth. A click that runs past the end is mixed into
+    one more second of noise and cut back to ``clip_s``."""
+    mixed_s = clip_s if at_s + CLICK_TOTAL_S <= clip_s else clip_s + 1.0
+    cfg = SimConfig(seed=seed, duration_s=mixed_s, transient_rate_hz=0.5,
+                    click_times_s=(at_s,), target_snr_db=18.0)
+    mix, truth = mix_at_snr(synth_click(RATE, seed), edge_noise(seed, mixed_s), cfg)
+    return SampleBuffer(mix.samples[: round(clip_s * RATE)], RATE), truth
+
+
+class TestEdgePositions:
+    """Clicks at the ends of a recording, where the corpus never puts them."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_click_inside_first_background_window(self, seed):
+        mix, truth = edge_mix(seed, 0.3)
+        assert match_detections(ClickDetector().predict(mix), truth).true_positives == 1
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_click_found_from_20_ms(self, seed):
+        mix, truth = edge_mix(seed, 0.02)
+        assert match_detections(ClickDetector().predict(mix), truth).true_positives == 1
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="the click falls inside frame 0, which is its own background, so the click seeds its background",
+    )
+    @pytest.mark.parametrize("at_s", [0.0, 0.005, 0.01])
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_click_at_the_first_frame(self, seed, at_s):
+        mix, truth = edge_mix(seed, at_s)
+        assert match_detections(ClickDetector().predict(mix), truth).true_positives == 1
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_tail_cut_short_by_the_end_still_a_click(self, seed):
+        mix, truth = edge_mix(seed, 9.75)
+        events = ClickDetector().predict(mix)
+        assert match_detections(events, truth).true_positives == 1
+        (click,) = [e for e in events if e.label == "connection_click" and e.onset_s > 9.5]
+        assert click.tail_duration_s == pytest.approx(0.17, abs=0.01)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_tail_cut_below_tail_min_is_a_transient(self, seed):
+        mix, truth = edge_mix(seed, 9.85)
+        events = ClickDetector().predict(mix)
+        assert match_detections(events, truth).true_positives == 0
+        (near,) = [e for e in events if abs(e.onset_s - 9.85) <= 0.05]
+        assert near.label == "other_transient"
+        assert 0.06 <= near.tail_duration_s < ClickSignature.tail_min_s
 
 
 class TestDetectionEvent:

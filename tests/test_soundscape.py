@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -285,20 +286,21 @@ class TestShroud:
         depths = [0.0, 0.1524, 0.3048, 0.4572, 0.6096]
         prev = None
         for depth in depths:
-            att = model.off_axis_attenuation_db(freqs, depth)
+            att = dataclasses.replace(model, inset_depth_m=depth).off_axis_attenuation_db(freqs)
             assert (att >= 0).all()
             if prev is not None:
                 assert (att >= prev).all()
             prev = att
-        att = model.off_axis_attenuation_db(freqs, 0.6096)
+        att = model.off_axis_attenuation_db(freqs)  # the default depth is 0.6096 m
         assert all(b >= a for a, b in zip(att, att[1:]))  # monotone in frequency
-        assert float(model.off_axis_attenuation_db(1e9, 0.6096)) == 40.0  # capped
+        assert float(model.off_axis_attenuation_db(1e9)) == 40.0  # capped
 
     def test_full_depth_reference_value(self):
         # 8 dB per octave above 500 Hz at the 0.6096 m reference depth
-        model = ShroudModel()
-        assert float(model.off_axis_attenuation_db(1000.0, 0.6096)) == pytest.approx(8.0, abs=1e-9)
-        assert float(model.off_axis_attenuation_db(4000.0, 0.3048)) == pytest.approx(12.0, abs=1e-9)
+        model = ShroudModel(inset_depth_m=0.6096)
+        half = ShroudModel(inset_depth_m=0.3048)
+        assert float(model.off_axis_attenuation_db(1000.0)) == pytest.approx(8.0, abs=1e-9)
+        assert float(half.off_axis_attenuation_db(4000.0)) == pytest.approx(12.0, abs=1e-9)
 
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):

@@ -298,8 +298,9 @@ class TestSpectrogramImage:
 
     def test_positive_floor_rejected(self, tmp_path):
         spec = stft(SampleBuffer(np.zeros(4096), RATE))
-        with pytest.raises(ValueError):
-            spectrogram_image(spec, tmp_path / "x.pgm", db_floor=3.0)
+        for db_floor in (3.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="db_floor"):
+                spectrogram_image(spec, tmp_path / "x.pgm", db_floor=db_floor)
 
     @pytest.mark.parametrize("window_len", [256, 1024])
     def test_blocked_image_matches_whole_array_formula(self, tmp_path, rng, window_len):
