@@ -49,7 +49,17 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-_DETECTOR_KEYS = tuple(ClickDetector().get_params())
+def _parse_depths(text: str) -> tuple[float, ...]:
+    try:
+        depths = tuple(float(d) for d in text.split(",") if d.strip())
+    except ValueError:
+        depths = ()
+    if not depths:
+        raise argparse.ArgumentTypeError(f"expected comma-separated depths in meters, got {text!r}")
+    return depths
+
+
+_DETECTOR_KEYS = tuple(field.name for field in fields(ClickDetector))
 _SIM_KEYS = tuple(field.name for field in fields(SimConfig) if field.name != "click_times_s")
 _SHROUD_KEYS = ("dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db")
 
@@ -57,7 +67,7 @@ _SHROUD_KEYS = ("dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_c
 #: parameters, the soundscape's knobs, the CLI's own click count and the
 #: shroud model's fields.
 _DEFAULTS: dict = {
-    **ClickDetector().get_params(),
+    **{key: getattr(ClickDetector, key) for key in _DETECTOR_KEYS},
     **{key: getattr(SimConfig, key) for key in _SIM_KEYS},
     "clicks": 3,
     **{key: getattr(ShroudModel, key) for key in _SHROUD_KEYS},
@@ -167,11 +177,8 @@ def cmd_bands(args) -> int:
 def cmd_depth_sweep(args) -> int:
     # pink_noise reads only the rate, the seed and the duration of its SimConfig.
     settings = _settings(args, ("sample_rate_hz", "seed", "duration_s", *_SHROUD_KEYS), duration_s=16.0)
-    depths = DEFAULT_DEPTHS_M if args.depths is None else tuple(
-        float(d) for d in args.depths.split(",") if d.strip()
-    )
     model = ShroudModel(**{key: settings.pop(key) for key in _SHROUD_KEYS})
-    table = depth_sweep(model, depths, SimConfig(**settings))
+    table = depth_sweep(model, args.depths, SimConfig(**settings))
     _write_text(args.out, table.as_csv())
     return EXIT_OK
 
@@ -223,7 +230,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("depth-sweep", parents=[common], help="band powers vs shroud inset depth (CSV)")
-    p.add_argument("--depths", help="comma-separated depths in meters (default 0..0.6096 in 3-in steps)")
+    p.add_argument("--depths", type=_parse_depths, default=DEFAULT_DEPTHS_M,
+                   help="comma-separated depths in meters (default 0..0.6096 in 3-in steps)")
     _aliases(p, ("--seed", "seed"), ("--duration", "duration_s"))
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_depth_sweep)

@@ -11,6 +11,10 @@ median that excludes frames already flagged as event candidates), which makes
 detection invariant to overall gain. A small absolute floor
 (``silence_floor_db``, re full-scale power) keeps the relative thresholds
 meaningful on digital silence.
+
+All 14 settings, the signature's and the analysis front end's, are the
+fields of one frozen ``ClickDetector``, checked when it is built; every
+detection function takes that value.
 """
 
 from __future__ import annotations
@@ -24,17 +28,9 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .audio_io import SampleBuffer
-from .spectral import (
-    Band,
-    Spectrogram,
-    _bands_within_nyquist,
-    frame_band_powers,
-    stft,
-    third_octave_bands,
-)
+from .spectral import Spectrogram, _bands_within_nyquist, frame_band_powers, stft, third_octave_bands
 
 __all__ = [
-    "ClickSignature",
     "DetectionEvent",
     "detect_events",
     "snr_db",
@@ -57,12 +53,15 @@ def _require_finite(settings, unbounded: Sequence[str] = ()) -> None:
 
 
 @dataclass(frozen=True)
-class ClickSignature:
-    """Gating template for the two-phase click shape.
+class ClickDetector:
+    """The detector's 14 settings, checked once at construction, and `predict`.
 
     Durations are in seconds, thresholds in dB over the rolling background.
     ``silence_floor_db`` (re full-scale power, per band) is the absolute floor
-    substituted when the background estimate is quieter than it.
+    substituted when the background estimate is quieter than it. The rest
+    set the analysis: the background and merge windows, the STFT's window
+    and hop, and the lowest band's center. The value is frozen; make a
+    variant with ``dataclasses.replace``, which checks it again.
     """
 
     burst_min_s: float = 0.02
@@ -74,6 +73,11 @@ class ClickSignature:
     onset_threshold_db: float = 12.0
     tail_threshold_db: float = 6.0
     silence_floor_db: float = -120.0
+    background_window_s: float = 2.0
+    merge_window_s: float = 0.5
+    window_len: int = 1024
+    hop: int = 256
+    band_min_hz: float = 100.0
 
     def __post_init__(self) -> None:
         try:
@@ -88,36 +92,22 @@ class ClickSignature:
             raise ValueError(f"need 0 < burst_min_s < burst_max_s, got ({self.burst_min_s}, {self.burst_max_s})")
         if not 0.0 < self.tail_min_s < self.tail_max_s:
             raise ValueError(f"need 0 < tail_min_s < tail_max_s, got ({self.tail_min_s}, {self.tail_max_s})")
-        for name in ("onset_threshold_db", "tail_threshold_db", "burst_low_hz"):
+        for name in ("onset_threshold_db", "tail_threshold_db", "burst_low_hz", "merge_window_s", "band_min_hz"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < lo < hi:
             raise ValueError(f"tail_band_hz must be an increasing positive pair, got {self.tail_band_hz}")
         if not self.silence_floor_db < 0.0:
             raise ValueError(f"silence_floor_db must be negative, got {self.silence_floor_db}")
-
-
-@dataclass(frozen=True)
-class _FrontEnd:
-    """The detector's parameters outside the signature: analysis and windows."""
-
-    background_window_s: float = 2.0
-    merge_window_s: float = 0.5
-    window_len: int = 1024
-    hop: int = 256
-    band_min_hz: float = 100.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
         if not self.background_window_s >= 1.0:
             raise ValueError(f"background_window_s must be at least 1.0 s, got {self.background_window_s}")
-        for name in ("merge_window_s", "band_min_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("window_len", "hop"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+
+    def predict(self, buffer: SampleBuffer) -> list[DetectionEvent]:
+        return detect_events(stft(buffer, self.window_len, self.hop), self)
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,7 @@ def _background_and_flags(
     band_power: np.ndarray,
     burst_cols: Sequence[int],
     tail_cols: Sequence[int],
-    sig: ClickSignature,
+    detector: ClickDetector,
     win: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Causal trailing-median background plus per-frame gate flags.
@@ -181,9 +171,9 @@ def _background_and_flags(
     the background, both masks and each frame's summed burst-band power.
     """
     T, nb = band_power.shape
-    onset_ratio = 10.0 ** (sig.onset_threshold_db / 10.0)
-    tail_ratio = 10.0 ** (sig.tail_threshold_db / 10.0)
-    floor = 10.0 ** (sig.silence_floor_db / 10.0)
+    onset_ratio = 10.0 ** (detector.onset_threshold_db / 10.0)
+    tail_ratio = 10.0 ** (detector.tail_threshold_db / 10.0)
+    floor = 10.0 ** (detector.silence_floor_db / 10.0)
     burst_floor = floor * max(len(burst_cols), 1)
     burst_total = band_power[:, list(burst_cols)].sum(axis=1)
 
@@ -218,32 +208,26 @@ def _background_and_flags(
     return bg, burst_mask, tail_mask, burst_total
 
 
-def _gated_band_power(
-    spec: Spectrogram, bands: Sequence[Band], sig: ClickSignature
-) -> tuple[np.ndarray, list[int], list[int]]:
+def _gated_band_power(spec: Spectrogram, detector: ClickDetector) -> tuple[np.ndarray, list[int], list[int]]:
     """Per-frame power of the gated bands only, tail bands first.
 
+    The bands are the 1/3-octave grid from ``band_min_hz`` up to Nyquist.
     Returns that matrix plus the burst and tail column lists indexing it.
-    Raises if ``bands`` has no burst band or no tail band for ``sig``.
+    Raises if the grid has no burst band or no tail band for ``detector``.
     """
+    rate = spec.sample_rate_hz
+    bands = _bands_within_nyquist(third_octave_bands(detector.band_min_hz, rate / 2.0), rate)
     # Burst bands must lie entirely above burst_low_hz so a band-limited tail
     # cannot keep the burst gate alive. Tail bands are selected by center
     # (closed interval): the grid's "8 kHz band" is centered at 8000 Hz, and
     # it is where the tail clears a low-frequency-heavy floor most readily.
-    nyquist = spec.sample_rate_hz / 2.0 * (1.0 + 1e-12)
-    burst_cols = [
-        i for i, b in enumerate(bands) if b.lower_hz >= sig.burst_low_hz and b.upper_hz <= nyquist
-    ]
-    lo, hi = sig.tail_band_hz
-    tail_cols = [
-        i
-        for i, b in enumerate(bands)
-        if lo <= b.center_hz <= hi and b.upper_hz <= nyquist and i not in burst_cols
-    ]
+    burst_cols = [i for i, b in enumerate(bands) if b.lower_hz >= detector.burst_low_hz]
+    lo, hi = detector.tail_band_hz
+    tail_cols = [i for i, b in enumerate(bands) if lo <= b.center_hz <= hi and i not in burst_cols]
     if not burst_cols:
-        raise ValueError(f"no band lies fully between burst_low_hz={sig.burst_low_hz} Hz and Nyquist")
+        raise ValueError(f"no band lies fully between burst_low_hz={detector.burst_low_hz} Hz and Nyquist")
     if not tail_cols:
-        raise ValueError(f"no band centered inside tail_band_hz={sig.tail_band_hz}")
+        raise ValueError(f"no band centered inside tail_band_hz={detector.tail_band_hz}")
     # Every band, then slice: a matmul over fewer columns is not promised to
     # give bitwise the same powers, and the events depend on them exactly.
     band_power = frame_band_powers(spec, bands)[:, tail_cols + burst_cols]
@@ -267,13 +251,7 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def detect_events(
-    spec: Spectrogram,
-    sig: ClickSignature,
-    bands: Sequence[Band],
-    background_window_s: float = _FrontEnd.background_window_s,
-    merge_window_s: float = _FrontEnd.merge_window_s,
-) -> list[DetectionEvent]:
+def detect_events(spec: Spectrogram, detector: ClickDetector) -> list[DetectionEvent]:
     """Detect and classify click events; returns events sorted by onset.
 
     Pipeline per the signature: (1) frames whose summed power in bands at or
@@ -289,34 +267,33 @@ def detect_events(
     (6) events with onsets closer than ``merge_window_s`` are merged keeping
     the higher score (ties keep the earlier onset).
     """
-    _FrontEnd(background_window_s=background_window_s, merge_window_s=merge_window_s)
     hop_s = spec.frame_hop_s
-    if hop_s > sig.burst_min_s:
+    if hop_s > detector.burst_min_s:
         raise ValueError(
-            f"frame hop {hop_s:.4f} s too coarse to gate a {sig.burst_min_s:.3f} s burst"
+            f"frame hop {hop_s:.4f} s too coarse to gate a {detector.burst_min_s:.3f} s burst"
         )
     nyquist = spec.sample_rate_hz / 2.0
-    if sig.tail_band_hz[1] > nyquist * (1.0 + 1e-12):
-        raise ValueError(f"tail band {sig.tail_band_hz} extends above Nyquist ({nyquist} Hz)")
+    if detector.tail_band_hz[1] > nyquist * (1.0 + 1e-12):
+        raise ValueError(f"tail band {detector.tail_band_hz} extends above Nyquist ({nyquist} Hz)")
     # Median estimation is the hot path; run it only over the gated bands.
-    win = max(2, round(background_window_s / hop_s))
-    band_power, burst_cols, tail_cols = _gated_band_power(spec, bands, sig)
-    bg, burst_mask, tail_mask, burst_total = _background_and_flags(band_power, burst_cols, tail_cols, sig, win)
-    floor = 10.0 ** (sig.silence_floor_db / 10.0)
+    win = max(2, round(detector.background_window_s / hop_s))
+    band_power, burst_cols, tail_cols = _gated_band_power(spec, detector)
+    bg, burst_mask, tail_mask, burst_total = _background_and_flags(band_power, burst_cols, tail_cols, detector, win)
+    floor = 10.0 ** (detector.silence_floor_db / 10.0)
     bg_burst = np.maximum(bg[:, burst_cols].sum(axis=1), floor * len(burst_cols))
 
     T = spec.n_frames
     events: list[DetectionEvent] = []
     for start, stop in _mask_runs(burst_mask):
         burst_dur = _run_duration_s(stop - start, spec)
-        if not sig.burst_min_s <= burst_dur <= sig.burst_max_s:
+        if not detector.burst_min_s <= burst_dur <= detector.burst_max_s:
             continue
         u = stop
         while u < T and tail_mask[u] and not burst_mask[u]:
             u += 1
         tail_frames = u - stop
         tail_dur = _run_duration_s(tail_frames, spec) if tail_frames else 0.0
-        tail_ok = sig.tail_min_s <= tail_dur <= sig.tail_max_s
+        tail_ok = detector.tail_min_s <= tail_dur <= detector.tail_max_s
 
         reference = float(bg_burst[start])
         excess = float(burst_total[start:stop].max()) - reference
@@ -328,7 +305,7 @@ def detect_events(
             DetectionEvent(onset_s, burst_dur, tail_dur, peak_snr, score, label)
         )
 
-    return _merge_events(events, merge_window_s)
+    return _merge_events(events, detector.merge_window_s)
 
 
 def _merge_events(events: list[DetectionEvent], merge_window_s: float) -> list[DetectionEvent]:
@@ -347,62 +324,3 @@ def _merge_events(events: list[DetectionEvent], merge_window_s: float) -> list[D
     merged.append(max(cluster, key=lambda e: (e.score, -e.onset_s)))
     return merged
 
-
-class ClickDetector:
-    """Estimator-style detector: parameters at construction, `predict` on audio.
-
-    Follows the scikit-learn parameter protocol (`get_params` / `set_params`,
-    parameters stored verbatim under their constructor names, stateless
-    `fit`), so instances compose with that ecosystem's tooling. `detect` is
-    the domain-named alias for `predict`. The parameters and their defaults
-    are the fields of `ClickSignature` and of the front-end settings.
-    """
-
-    _PARAMS = fields(ClickSignature) + fields(_FrontEnd)
-
-    def __init__(self, **params) -> None:
-        for field in self._PARAMS:
-            setattr(self, field.name, field.default)
-        self.set_params(**params)
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {field.name: getattr(self, field.name) for field in self._PARAMS}
-
-    def set_params(self, **params) -> "ClickDetector":
-        known = self.get_params()
-        for name, value in params.items():
-            if name not in known:
-                raise ValueError(f"unknown parameter {name!r} for ClickDetector")
-            setattr(self, name, value)
-        return self
-
-    def _values(self, cls) -> dict:
-        return {field.name: getattr(self, field.name) for field in fields(cls)}
-
-    def signature(self) -> ClickSignature:
-        return ClickSignature(**self._values(ClickSignature))
-
-    def fit(self, X=None, y=None) -> "ClickDetector":
-        """Stateless; validates parameters and returns self."""
-        self.signature()
-        _FrontEnd(**self._values(_FrontEnd))
-        return self
-
-    def bands_for(self, sample_rate_hz: int) -> list[Band]:
-        bands = third_octave_bands(self.band_min_hz, sample_rate_hz / 2.0)
-        return _bands_within_nyquist(bands, sample_rate_hz)
-
-    def predict(self, buffer: SampleBuffer) -> list[DetectionEvent]:
-        sig = self.signature()
-        front = _FrontEnd(**self._values(_FrontEnd))
-        spec = stft(buffer, front.window_len, front.hop)
-        return detect_events(
-            spec,
-            sig,
-            self.bands_for(buffer.sample_rate_hz),
-            background_window_s=front.background_window_s,
-            merge_window_s=front.merge_window_s,
-        )
-
-    def detect(self, buffer: SampleBuffer) -> list[DetectionEvent]:
-        return self.predict(buffer)

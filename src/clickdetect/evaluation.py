@@ -9,6 +9,7 @@ no real facility recordings ship with this package.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -90,8 +91,8 @@ def match_detections(
     detections are the rejected class: never true positives, never false
     positives.
     """
-    if tolerance_s <= 0:
-        raise ValueError(f"tolerance_s must be positive, got {tolerance_s}")
+    if not 0.0 < tolerance_s < math.inf:
+        raise ValueError(f"tolerance_s must be positive and finite, got {tolerance_s}")
     times = truth.times
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("ground truth must be sorted by time")
@@ -158,10 +159,9 @@ class BenchmarkResult:
         return "\n".join(lines)
 
 
-def _evaluate_clip(args: tuple[str, str, dict]) -> tuple[int, int, int, float]:
+def _evaluate_clip(args: tuple[str, str, ClickDetector]) -> tuple[int, int, int, float]:
     """Match one clip's detections; returns (TP, FP, FN, audio seconds)."""
-    wav_path, truth_path, params = args
-    detector = ClickDetector(**params)
+    wav_path, truth_path, detector = args
     try:
         buffer = read_wav(wav_path)
     except (OSError, ValueError) as exc:
@@ -172,7 +172,7 @@ def _evaluate_clip(args: tuple[str, str, dict]) -> tuple[int, int, int, float]:
 
 def run_benchmark(
     manifest_path: str | Path,
-    detector: ClickDetector | None = None,
+    detector: ClickDetector = ClickDetector(),
     jobs: int = 1,
 ) -> BenchmarkResult:
     """Detect over every clip in the manifest and aggregate the counts.
@@ -198,11 +198,8 @@ def run_benchmark(
             value = entry.get(key)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ValueError(f"{manifest_path}: entry {i}: {key!r} is missing or not {what}")
-    detector = detector if detector is not None else ClickDetector()
-    params = detector.get_params()
     base = manifest_path.parent
-
-    tasks = [(str(base / entry["wav_path"]), str(base / entry["truth_path"]), params) for entry in entries]
+    tasks = [(str(base / entry["wav_path"]), str(base / entry["truth_path"]), detector) for entry in entries]
 
     started = time.perf_counter()
     if jobs > 1 and len(tasks) > 1:

@@ -83,7 +83,9 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         times = [t for t, _ in self.events]
-        if any(b - a < 0.5 for a, b in zip(times, times[1:])):
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"ground-truth times must be finite, got {times}")
+        if any(not b - a >= 0.5 for a, b in zip(times, times[1:])):
             raise ValueError("ground-truth times must be ascending and >= 0.5 s apart")
 
     @property
@@ -279,11 +281,10 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
     clipped: list[float] = []
     if times:
         detector = ClickDetector()
-        bands, sig = detector.bands_for(rate), detector.signature()
 
         def burst_track(buffer: SampleBuffer) -> np.ndarray:
             spec = stft(buffer, detector.window_len, detector.hop)
-            band_power, burst_cols, _ = _gated_band_power(spec, bands, sig)
+            band_power, burst_cols, _ = _gated_band_power(spec, detector)
             return band_power[:, burst_cols].sum(axis=1)
 
         noise_ref = float(burst_track(noise).mean())
@@ -348,11 +349,25 @@ def write_truth_csv(truth: GroundTruth, path: str | Path) -> None:
 
 
 def read_truth_csv(path: str | Path) -> GroundTruth:
+    """Read a ``time_s,label`` CSV; errors name the file, and a bad row its line."""
+    events = []
     with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0] != ["time_s", "label"]:
-        raise ValueError(f"{path}: expected header 'time_s,label'")
-    return GroundTruth(tuple((float(t), label) for t, label in rows[1:]))
+        reader = csv.reader(handle)
+        if next(reader, None) != ["time_s", "label"]:
+            raise ValueError(f"{path}: expected header 'time_s,label'")
+        for row in reader:
+            try:
+                text, label = row
+                t = float(text)
+                if not math.isfinite(t):
+                    raise ValueError(f"time_s must be finite, got {text!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            events.append((t, label))
+    try:
+        return GroundTruth(tuple(events))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_clip(out_dir: Path, wav_name: str, truth_name: str, cfg: SimConfig, clicks: int) -> dict:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from clickdetect.audio_io import SampleBuffer, write_wav
-from clickdetect.cli import _DEFAULTS, _SIM_KEYS, CONFIG_SPEC, _settings, build_parser, main
+from clickdetect.cli import _DEFAULTS, _DETECTOR_KEYS, _SIM_KEYS, CONFIG_SPEC, _settings, build_parser, main
 from clickdetect.detector import ClickDetector
 from clickdetect.soundscape import ShroudModel, SimConfig, read_truth_csv
 
@@ -37,6 +37,10 @@ class TestDetect:
         code = run("detect", str(tmp_path / "absent.wav"))
         assert code == 2
         assert "absent.wav" in capsys.readouterr().err
+
+    def test_bad_value_is_checked_before_the_input_is_read(self, tmp_path, capsys):
+        assert run("detect", str(tmp_path / "absent.wav"), "--set", "onset_threshold_db=-1") == 4
+        assert "onset_threshold_db" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "header, field",
@@ -95,7 +99,7 @@ class TestDetect:
         out = tmp_path / "out"
         if key == "duration_s":
             command = ["simulate", "--out-dir", str(out)]
-        elif key in _DEFAULTS and key not in ClickDetector().get_params():
+        elif key in _DEFAULTS and key not in _DETECTOR_KEYS:
             command = ["depth-sweep", "--duration", "1", "--out", str(out)]
         else:
             command = ["detect", str(silence_wav), "--out", str(out)]
@@ -152,8 +156,11 @@ class TestConfig:
     def test_keys_come_from_their_owners(self):
         sim_keys = [f.name for f in dataclasses.fields(SimConfig) if f.name != "click_times_s"]
         shroud_keys = ["dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db"]
-        assert list(CONFIG_SPEC) == [*ClickDetector().get_params(), *sim_keys, "clicks", *shroud_keys]
+        detector_keys = [f.name for f in dataclasses.fields(ClickDetector)]
+        assert list(CONFIG_SPEC) == [*detector_keys, *sim_keys, "clicks", *shroud_keys]
         assert len(CONFIG_SPEC) == 25
+        for key in detector_keys:
+            assert _DEFAULTS[key] == getattr(ClickDetector, key)
         for key in sim_keys:
             assert _DEFAULTS[key] == getattr(SimConfig, key)
         for key in shroud_keys:
@@ -291,6 +298,13 @@ class TestDepthSweepCommand:
             if center > 500:
                 assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("depths", ["abc", "", ",", "0.1,x"])
+    def test_bad_depths_exit_3_naming_the_option(self, tmp_path, capsys, depths):
+        out = tmp_path / "sweep.csv"
+        assert run("depth-sweep", "--duration", "1", "--depths", depths, "--out", str(out)) == 3
+        assert "--depths" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_and_duration_from_config(self, tmp_path):
         def sweep(name, *argv):
             out = tmp_path / name
@@ -317,6 +331,14 @@ class TestEvaluateCommand:
         blob = json.loads(json_out.read_text())
         assert blob["aggregate"]["true_positives"] == 2
         assert blob["aggregate"]["accuracy"] == 1.0
+
+    def test_nan_truth_time_exits_4_naming_the_file(self, tmp_path, capsys):
+        # A NaN truth time used to match any click: TP 1, accuracy 1.000, exit 0.
+        sim = tmp_path / "sim"
+        assert run("simulate", "--out-dir", str(sim), "--clicks", "1", "--duration", "8", "--seed", "8") == 0
+        (sim / "truth.csv").write_text("time_s,label\nnan,connection_click\n")
+        assert run("evaluate", str(sim / "manifest.json"), "--jobs", "1") == 4
+        assert "truth.csv:2" in capsys.readouterr().err
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run("evaluate", str(tmp_path / "nope.json")) == 2

@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 
 from clickdetect.audio_io import SampleBuffer
-from clickdetect.detector import (
-    ClickDetector,
-    ClickSignature,
-    DetectionEvent,
-    _background_and_flags,
-    _FrontEnd,
-    detect_events,
-    snr_db,
-)
+from clickdetect.detector import ClickDetector, DetectionEvent, _background_and_flags, snr_db
 from clickdetect.evaluation import match_detections
 from clickdetect.soundscape import CLICK_TOTAL_S, SimConfig, factory_noise, mix_at_snr, pink_noise, synth_click
 from clickdetect.spectral import frame_band_powers, stft, third_octave_bands
@@ -51,10 +43,12 @@ class TestSnrDb:
 
 
 class TestClickSignature:
+    """The settings' checks, run at construction and again by ``replace``."""
+
     def test_defaults_valid(self):
-        sig = ClickSignature()
-        assert sig.burst_low_hz == 8000.0
-        assert sig.tail_band_hz == (1000.0, 8000.0)
+        detector = ClickDetector()
+        assert detector.burst_low_hz == 8000.0
+        assert detector.tail_band_hz == (1000.0, 8000.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -72,23 +66,34 @@ class TestClickSignature:
             {"tail_band_hz": (math.nan, 8000.0)},
             {"burst_low_hz": math.nan},
             {"silence_floor_db": math.nan},
+            {"burst_min_s": 0.5, "burst_max_s": 0.1},
+            {"window_len": 512.0},
+            {"hop": 128.5},
+            {"hop": True},
+            {"tail_band_hz": 8000.0},
+            {"tail_band_hz": (1000.0, 4000.0, 8000.0)},
+            {"background_window_s": math.nan},
+            {"background_window_s": math.inf},
+            {"band_min_hz": math.nan},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            ClickSignature(**kwargs)
+            ClickDetector(**kwargs)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            dataclasses.replace(ClickDetector(), **kwargs)
 
 
 def background(spec, bands):
     """The detector's background pass run over every band, not only the gated
     ones; its burst and tail bands still flag the frames it leaves out."""
-    sig = ClickSignature()
+    detector = ClickDetector()
     nyquist = spec.sample_rate_hz / 2.0
-    burst = [i for i, b in enumerate(bands) if b.lower_hz >= sig.burst_low_hz and b.upper_hz <= nyquist]
-    lo, hi = sig.tail_band_hz
+    burst = [i for i, b in enumerate(bands) if b.lower_hz >= detector.burst_low_hz and b.upper_hz <= nyquist]
+    lo, hi = detector.tail_band_hz
     tail = [i for i, b in enumerate(bands) if lo <= b.center_hz <= hi and b.upper_hz <= nyquist and i not in burst]
-    win = max(2, round(_FrontEnd.background_window_s / spec.frame_hop_s))
-    return _background_and_flags(frame_band_powers(spec, bands), burst, tail, sig, win)[0]
+    win = max(2, round(detector.background_window_s / spec.frame_hop_s))
+    return _background_and_flags(frame_band_powers(spec, bands), burst, tail, detector, win)[0]
 
 
 class TestEstimateBackground:
@@ -126,16 +131,16 @@ class TestEstimateBackground:
         assert np.abs(shift).max() < 0.5
 
 
-def reference_background_and_flags(band_power, burst_cols, tail_cols, sig, win):
+def reference_background_and_flags(band_power, burst_cols, tail_cols, detector, win):
     """Brute force: np.median over each frame's clean trailing rows.
 
     Also returns how many frames saw an empty, an even and an odd clean window,
     and how many sat exactly on a gate's threshold.
     """
     T = len(band_power)
-    onset_ratio = 10.0 ** (sig.onset_threshold_db / 10.0)
-    tail_ratio = 10.0 ** (sig.tail_threshold_db / 10.0)
-    floor = 10.0 ** (sig.silence_floor_db / 10.0)
+    onset_ratio = 10.0 ** (detector.onset_threshold_db / 10.0)
+    tail_ratio = 10.0 ** (detector.tail_threshold_db / 10.0)
+    floor = 10.0 ** (detector.silence_floor_db / 10.0)
     bg = np.empty_like(band_power)
     burst = np.zeros(T, dtype=bool)
     tail = np.zeros(T, dtype=bool)
@@ -166,11 +171,11 @@ class TestBackgroundPass:
     def test_matches_brute_force_median(self):
         rng = np.random.default_rng(2024)
         # Power ratios of exactly 16 and 4 let integer levels land on a threshold.
-        exact = ClickSignature(onset_threshold_db=12.041199826559248, tail_threshold_db=6.020599913279624)
+        exact = ClickDetector(onset_threshold_db=12.041199826559248, tail_threshold_db=6.020599913279624)
         seen = {"empty": 0, "even": 0, "odd": 0, "tie": 0}
         short = 0
         for case in range(240):
-            sig = exact if case % 2 else ClickSignature()
+            detector = exact if case % 2 else ClickDetector()
             win = int(rng.integers(2, 41))
             T = int(rng.integers(1, 3 * win + 2))
             short += T < win
@@ -186,8 +191,8 @@ class TestBackgroundPass:
             split = int(rng.integers(0, min(n_bands, 4) + 1))
             burst_cols, tail_cols = sorted(cols[:split]), sorted(cols[split:])
 
-            got = _background_and_flags(band_power, burst_cols, tail_cols, sig, win)
-            want, case_seen = reference_background_and_flags(band_power, burst_cols, tail_cols, sig, win)
+            got = _background_and_flags(band_power, burst_cols, tail_cols, detector, win)
+            want, case_seen = reference_background_and_flags(band_power, burst_cols, tail_cols, detector, win)
             for name, a, b in zip(("bg", "burst", "tail"), got, want):
                 assert np.array_equal(a, b), f"case {case}: {name} differs (T={T}, win={win})"
             for key in seen:
@@ -316,18 +321,14 @@ class TestDetectEvents:
             detector.predict(SampleBuffer(np.zeros(2 * RATE), RATE))
 
     def test_short_background_window_rejected(self):
-        spec = stft(SampleBuffer(np.zeros(3 * RATE), RATE))
-        bands = ClickDetector().bands_for(RATE)
         with pytest.raises(ValueError, match="at least 1.0 s"):
-            detect_events(spec, ClickSignature(), bands, background_window_s=0.5)
+            ClickDetector(background_window_s=0.5)
 
     @pytest.mark.parametrize("window_s", [0.0, -1.0, math.nan])
     def test_merge_window_checked(self, window_s):
         # A non-positive or NaN merge window used to return the events unmerged.
-        spec = stft(SampleBuffer(np.zeros(3 * RATE), RATE))
-        bands = ClickDetector().bands_for(RATE)
         with pytest.raises(ValueError, match="merge_window_s"):
-            detect_events(spec, ClickSignature(), bands, merge_window_s=window_s)
+            ClickDetector(merge_window_s=window_s)
 
 
 EDGE_SEEDS = (1, 2, 3, 4)
@@ -388,7 +389,7 @@ class TestEdgePositions:
         assert match_detections(events, truth).true_positives == 0
         (near,) = [e for e in events if abs(e.onset_s - 9.85) <= 0.05]
         assert near.label == "other_transient"
-        assert 0.06 <= near.tail_duration_s < ClickSignature.tail_min_s
+        assert 0.06 <= near.tail_duration_s < ClickDetector.tail_min_s
 
 
 class TestDetectionEvent:
@@ -403,46 +404,15 @@ class TestDetectionEvent:
 
 
 class TestClickDetectorEstimator:
-    def test_get_params_round_trips_through_init(self):
+    def test_frozen_value_replace_round_trips_and_unknown_keyword_raises(self):
         detector = ClickDetector(onset_threshold_db=10.0, hop=128)
-        clone = ClickDetector(**detector.get_params())
-        assert clone.get_params() == detector.get_params()
-
-    def test_set_params_chains_and_rejects_unknown(self):
-        detector = ClickDetector()
-        assert detector.set_params(tail_threshold_db=4.0) is detector
-        assert detector.tail_threshold_db == 4.0
-        with pytest.raises(ValueError, match="unknown parameter"):
-            detector.set_params(nonsense=1)
-        with pytest.raises(ValueError, match="unknown parameter"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            detector.hop = 64
+        variant = dataclasses.replace(detector, tail_threshold_db=4.0)
+        assert variant.tail_threshold_db == 4.0 and detector.tail_threshold_db == 6.0
+        assert dataclasses.replace(variant, tail_threshold_db=6.0) == detector
+        with pytest.raises(TypeError, match="nonsense"):
             ClickDetector(nonsense=1)
-
-    def test_params_are_the_dataclass_fields(self):
-        params = ClickDetector().get_params()
-        fields = dataclasses.fields(ClickSignature) + dataclasses.fields(_FrontEnd)
-        assert list(params) == [f.name for f in fields]
-        assert all(params[f.name] == f.default for f in fields)
-
-    def test_fit_is_stateless_and_validates(self):
-        detector = ClickDetector()
-        assert detector.fit() is detector
-        bad_params = (
-            {"burst_min_s": 0.5, "burst_max_s": 0.1},
-            {"background_window_s": 0.5},
-            {"merge_window_s": 0.0},
-            {"window_len": 512.0},
-            {"hop": 128.5},
-            {"hop": True},
-            {"tail_band_hz": 8000.0},
-            {"tail_band_hz": (1000.0, 4000.0, 8000.0)},
-            {"background_window_s": math.nan},
-            {"background_window_s": math.inf},
-            {"merge_window_s": math.nan},
-            {"band_min_hz": math.nan},
-        )
-        for bad in bad_params:
-            with pytest.raises(ValueError, match=next(iter(bad)) if len(bad) == 1 else None):
-                ClickDetector(**bad).fit()
 
     def test_numpy_integer_window_predicts(self):
         buf = click_in_silence(5)
@@ -460,8 +430,3 @@ class TestClickDetectorEstimator:
         finally:
             tracemalloc.stop()
         assert peak < power_bytes / 4
-
-    def test_detect_aliases_predict(self):
-        buf = click_in_silence(4)
-        detector = ClickDetector()
-        assert detector.detect(buf) == detector.predict(buf)

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from clickdetect.detector import DetectionEvent
+from clickdetect.detector import ClickDetector, DetectionEvent
 from clickdetect import evaluation
 from clickdetect.evaluation import EvalReport, depth_sweep, match_detections, run_benchmark
 from clickdetect.soundscape import GroundTruth, ShroudModel, SimConfig, generate_corpus, pink_noise
@@ -91,8 +92,10 @@ class TestMatchDetections:
             match_detections([], bad)
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            match_detections([], truth_at(1.0), 0.0)
+        # A NaN tolerance used to match a detection 49 s from its truth.
+        for tolerance_s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance_s"):
+                match_detections([click_at(50.0)], truth_at(1.0), tolerance_s)
 
 
 class TestEvalReport:
@@ -136,6 +139,14 @@ class TestRunBenchmark:
         serial = run_benchmark(small_corpus, jobs=1)
         parallel = run_benchmark(small_corpus, jobs=2)
         assert serial.aggregate.to_json_dict() == parallel.aggregate.to_json_dict()
+
+    def test_detector_crosses_the_pool(self, small_corpus):
+        # The onset gate alone changes no count here, even at 30 dB; the tail gate does.
+        strict = ClickDetector(onset_threshold_db=20.0, tail_threshold_db=12.0)
+        serial = run_benchmark(small_corpus, strict, jobs=1)
+        parallel = run_benchmark(small_corpus, strict, jobs=2)
+        assert serial.to_json_dict() | {"runtime_s": 0} == parallel.to_json_dict() | {"runtime_s": 0}
+        assert serial.aggregate != run_benchmark(small_corpus, jobs=1).aggregate
 
     def test_pool_never_larger_than_the_manifest(self, small_corpus, monkeypatch):
         sizes = []

@@ -56,6 +56,14 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             GroundTruth(((2.0, "connection_click"), (2.3, "connection_click")))
 
+    @pytest.mark.parametrize(
+        "times", [(math.nan,), (math.inf,), (1.0, math.nan), (math.nan, 1.0), (1.0, -math.inf)]
+    )
+    def test_rejects_non_finite_times(self, times):
+        # A NaN time used to pass, and then matched any detection.
+        with pytest.raises(ValueError, match="finite"):
+            GroundTruth(tuple((t, "connection_click") for t in times))
+
     def test_csv_round_trip(self, tmp_path):
         truth = GroundTruth(((1.5, "connection_click"), (4.25, "connection_click")))
         path = tmp_path / "truth.csv"
@@ -67,6 +75,28 @@ class TestGroundTruth:
         path = tmp_path / "bad.csv"
         path.write_text("when,what\n1.0,x\n")
         with pytest.raises(ValueError, match="header"):
+            read_truth_csv(path)
+
+    def test_csv_crowded_times_name_the_file(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("time_s,label\n1.0,connection_click\n1.2,connection_click\n")
+        with pytest.raises(ValueError, match="truth.csv: ground-truth times must be ascending"):
+            read_truth_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, why",
+        [
+            ("nan,connection_click", "finite"),
+            ("-inf,connection_click", "finite"),
+            ("abc,connection_click", "could not convert"),
+            ("7.0", "not enough values"),
+            ("7.0,connection_click,extra", "too many values"),
+        ],
+    )
+    def test_csv_bad_row_names_file_and_line(self, tmp_path, row, why):
+        path = tmp_path / "truth.csv"
+        path.write_text(f"time_s,label\n1.0,connection_click\n{row}\n")
+        with pytest.raises(ValueError, match=f"truth.csv:3: .*{why}"):
             read_truth_csv(path)
 
 
@@ -220,7 +250,7 @@ class TestMixAtSnr:
 
         def burst_track(buffer):
             spec = stft(buffer, detector.window_len, detector.hop)
-            power, burst_cols, _ = _gated_band_power(spec, detector.bands_for(rate), detector.signature())
+            power, burst_cols, _ = _gated_band_power(spec, detector)
             return power[:, burst_cols].sum(axis=1)
 
         cfg = SimConfig(sample_rate_hz=rate, seed=14, duration_s=8.0, click_times_s=(4.0,), target_snr_db=target)
