@@ -56,6 +56,10 @@ def _parse_depths(text: str) -> tuple[float, ...]:
         depths = ()
     if not depths:
         raise argparse.ArgumentTypeError(f"expected comma-separated depths in meters, got {text!r}")
+    deepest = ShroudModel().reference_depth_m
+    for depth in depths:
+        if not 0.0 <= depth <= deepest:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"each depth must lie in [0, {deepest}] m, got {depth}")
     return depths
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from typing import Literal, Sequence
 
@@ -151,61 +150,121 @@ def snr_db(event_power: float, background_power: float) -> float:
     return 10.0 * math.log10(event_power / background_power)
 
 
+#: Frames whose gates one sorted window settles at once (``_background_and_flags``).
+_BLOCK = 64
+
+
+def _left_to_right_sum(terms):
+    """Sum ``terms`` in order, uncompensated. The burst gate and the burst
+    reference may not depend on how a Python or numpy version orders or
+    compensates a sum: 3.12's builtin ``sum`` compensates floats, and numpy's
+    1-D sum pairs terms from eight on."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _background_at(band_power: np.ndarray, clean: np.ndarray, t: int, win: int, last_clean: int) -> np.ndarray:
+    """Frame t's background: the per-band median of the clean frames in
+    [t - win, t), averaging the middle pair (``0.5*(a+b)``) of an even count.
+
+    ``clean`` must be final before t. An empty window keeps the previous
+    frame's background, which is then the row of the latest clean frame (the
+    only clean frame in the last window that held one), or frame 0's own row
+    when no frame is clean yet. ``last_clean`` names that frame, -1 for none;
+    it is read only when the window is empty, so the latest clean frame before
+    any frame of [t - win, t] will do.
+    """
+    lo = max(0, t - win)
+    rows = band_power[lo + np.flatnonzero(clean[lo:t])]
+    n = len(rows)
+    if not n:
+        return band_power[max(last_clean, 0)]
+    k = n // 2
+    if n & 1:
+        return np.partition(rows, k, axis=0)[k]
+    middle = np.partition(rows, (k - 1, k), axis=0)
+    return 0.5 * (middle[k - 1] + middle[k])
+
+
 def _background_and_flags(
     band_power: np.ndarray,
     burst_cols: Sequence[int],
     tail_cols: Sequence[int],
     detector: ClickDetector,
     win: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Causal trailing-median background plus per-frame gate flags.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-frame gate flags against a causal trailing-median background.
 
-    Frame t's background is the per-band median of the clean (unflagged) frames
-    in [t - win, t), so the events being detected cannot inflate their own
-    reference. One forward pass keeps each band's clean window values sorted (a
-    running median after Haerdle & Steiger, AS 296): per frame it reads the
-    median, gates the frame, inserts it if clean and evicts frame t - win if
-    that was clean. An even count averages the two middle values, an empty
-    window keeps the previous background, and frame 0 is its own background.
-    The burst reference sums the burst bands' medians left to right. Returns
-    the background, both masks and each frame's summed burst-band power.
+    Frame t's background is ``_background_at``: the per-band median of the
+    clean (unflagged) frames in [t - win, t), so the events being detected
+    cannot inflate their own reference. The burst gate compares the frame's
+    summed burst-band power with the left-to-right sum of the burst bands'
+    medians; the tail gate compares each tail band with its median.
+
+    Most frames need only bounds on their median. The pass works in blocks of
+    ``min(_BLOCK, win)`` frames and sorts the clean window of the block's first
+    frame t0 once. Frame t0 + j has lost the ``evicted`` clean frames before
+    t0 - win + j, all of them known, and gained at most j of the block's own,
+    so each band's median lies between two ranks of that sorted window. Every
+    gate is monotone in each median (a floor, a positive ratio and a sum, all
+    rounded to nearest), so a verdict that holds at both bounds is exact. The
+    frames a bound cannot decide (a threshold between the bounds, too few
+    frames kept, or a window that may be empty) take ``_background_at`` in
+    order, once every earlier flag is final. Returns the burst and tail masks
+    and each frame's summed burst-band power.
     """
-    T, nb = band_power.shape
+    T = len(band_power)
     onset_ratio = 10.0 ** (detector.onset_threshold_db / 10.0)
     tail_ratio = 10.0 ** (detector.tail_threshold_db / 10.0)
     floor = 10.0 ** (detector.silence_floor_db / 10.0)
     burst_floor = floor * max(len(burst_cols), 1)
     burst_total = band_power[:, list(burst_cols)].sum(axis=1)
+    gated = list(burst_cols) + list(tail_cols)
+    n_burst = len(burst_cols)
 
-    bg = np.empty_like(band_power)
+    def gate(frames: np.ndarray, med: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # med holds one row per frame: the burst columns' medians, then the tail's
+        ref = _left_to_right_sum(med[:, i] for i in range(n_burst))
+        burst = burst_total[frames] >= onset_ratio * np.maximum(ref, burst_floor)
+        power = band_power[frames[:, None], tail_cols]
+        tail = (power >= tail_ratio * np.maximum(med[:, n_burst:], floor)).any(axis=1)
+        return burst, tail
+
     burst_mask = np.zeros(T, dtype=bool)
     tail_mask = np.zeros(T, dtype=bool)
-    clean = bytearray(T)
-    window: list[list[float]] = [[] for _ in range(nb)]
-    n = 0  # clean frames in the window, the same for every band
-    med = band_power[0].tolist()
-    for t in range(T):
-        if n:
-            k = n // 2
-            med = [col[k] for col in window] if n & 1 else [0.5 * (col[k - 1] + col[k]) for col in window]
-        bg[t] = med
-        row = band_power[t].tolist()
-        ref = 0.0
-        for c in burst_cols:
-            ref += med[c]
-        bhit = bool(burst_cols) and burst_total[t] >= onset_ratio * max(ref, burst_floor)
-        thit = any(row[c] >= tail_ratio * max(med[c], floor) for c in tail_cols)
-        burst_mask[t], tail_mask[t] = bhit, thit
-        if not (bhit or thit):
-            clean[t] = 1
-            n += 1
-            for col, v in zip(window, row):
-                insort(col, v)
-        if t >= win and clean[t - win]:
-            n -= 1
-            for col, v in zip(window, band_power[t - win].tolist()):
-                del col[bisect_left(col, v)]
-    return bg, burst_mask, tail_mask, burst_total
+    clean = np.zeros(T, dtype=bool)
+    last_clean = -1  # the latest clean frame before the block
+    block = min(_BLOCK, win)
+    for t0 in range(0, T, block):
+        frames = np.arange(t0, min(t0 + block, T))
+        j = frames - t0
+        lo = max(0, t0 - win)
+        rows = lo + np.flatnonzero(clean[lo:t0])
+        evicted = np.searchsorted(rows, frames - win)
+        kept = len(rows) - evicted
+        low_rank = (kept + j - 1) // 2 - j
+        high_rank = (kept + j) // 2 + evicted  # inside the window wherever low_rank >= 0
+        settled = np.zeros(len(frames), dtype=bool)
+        bounded = np.flatnonzero(low_rank >= 0)
+        if bounded.size:
+            ranked = np.sort(band_power[rows[:, None], gated], axis=0)
+            burst_high, tail_high = gate(frames[bounded], ranked[high_rank[bounded]])
+            burst_low, tail_low = gate(frames[bounded], ranked[low_rank[bounded]])
+            same = (burst_high == burst_low) & (tail_high == tail_low)
+            settled[bounded[same]] = True
+            at = frames[settled]
+            burst_mask[at], tail_mask[at] = burst_low[same], tail_low[same]
+            clean[at] = ~(burst_low[same] | tail_low[same])
+        for t in frames[~settled].tolist():
+            med = _background_at(band_power, clean, t, win, last_clean)[gated]
+            burst, tail = gate(np.array([t]), med[None])
+            burst_mask[t], tail_mask[t], clean[t] = burst[0], tail[0], not (burst[0] or tail[0])
+        clean_here = np.flatnonzero(clean[frames])
+        if clean_here.size:
+            last_clean = int(frames[clean_here[-1]])
+    return burst_mask, tail_mask, burst_total
 
 
 def _gated_band_power(spec: Spectrogram, detector: ClickDetector) -> tuple[np.ndarray, list[int], list[int]]:
@@ -275,12 +334,14 @@ def detect_events(spec: Spectrogram, detector: ClickDetector) -> list[DetectionE
     nyquist = spec.sample_rate_hz / 2.0
     if detector.tail_band_hz[1] > nyquist * (1.0 + 1e-12):
         raise ValueError(f"tail band {detector.tail_band_hz} extends above Nyquist ({nyquist} Hz)")
-    # Median estimation is the hot path; run it only over the gated bands.
+    # The background pass is the costliest stage after the band powers; run it
+    # only over the gated bands.
     win = max(2, round(detector.background_window_s / hop_s))
     band_power, burst_cols, tail_cols = _gated_band_power(spec, detector)
-    bg, burst_mask, tail_mask, burst_total = _background_and_flags(band_power, burst_cols, tail_cols, detector, win)
-    floor = 10.0 ** (detector.silence_floor_db / 10.0)
-    bg_burst = np.maximum(bg[:, burst_cols].sum(axis=1), floor * len(burst_cols))
+    burst_mask, tail_mask, burst_total = _background_and_flags(band_power, burst_cols, tail_cols, detector, win)
+    clean = ~(burst_mask | tail_mask)
+    clean_frames = np.flatnonzero(clean)
+    burst_floor = 10.0 ** (detector.silence_floor_db / 10.0) * len(burst_cols)
 
     T = spec.n_frames
     events: list[DetectionEvent] = []
@@ -295,7 +356,9 @@ def detect_events(spec: Spectrogram, detector: ClickDetector) -> list[DetectionE
         tail_dur = _run_duration_s(tail_frames, spec) if tail_frames else 0.0
         tail_ok = detector.tail_min_s <= tail_dur <= detector.tail_max_s
 
-        reference = float(bg_burst[start])
+        latest = np.searchsorted(clean_frames, start) - 1
+        med = _background_at(band_power, clean, start, win, clean_frames[latest] if latest >= 0 else -1)
+        reference = max(float(_left_to_right_sum(med[c] for c in burst_cols)), burst_floor)
         excess = float(burst_total[start:stop].max()) - reference
         peak_snr = snr_db(max(excess, 0.0), reference)
         score = 0.5 * _clamp01(peak_snr / 20.0) + 0.5 * _clamp01(tail_dur / 0.3)

@@ -298,7 +298,7 @@ class TestDepthSweepCommand:
             if center > 500:
                 assert all(a > b for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("depths", ["abc", "", ",", "0.1,x"])
+    @pytest.mark.parametrize("depths", ["abc", "", ",", "0.1,x", "nan", "inf", "-0.1", "5"])
     def test_bad_depths_exit_3_naming_the_option(self, tmp_path, capsys, depths):
         out = tmp_path / "sweep.csv"
         assert run("depth-sweep", "--duration", "1", "--depths", depths, "--out", str(out)) == 3

@@ -2,12 +2,14 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from clickdetect import detector as detector_module
 from clickdetect.audio_io import SampleBuffer
-from clickdetect.detector import ClickDetector, DetectionEvent, _background_and_flags, snr_db
+from clickdetect.detector import ClickDetector, DetectionEvent, _background_and_flags, _background_at, snr_db
 from clickdetect.evaluation import match_detections
 from clickdetect.soundscape import CLICK_TOTAL_S, SimConfig, factory_noise, mix_at_snr, pink_noise, synth_click
 from clickdetect.spectral import frame_band_powers, stft, third_octave_bands
@@ -84,16 +86,27 @@ class TestClickSignature:
             dataclasses.replace(ClickDetector(), **kwargs)
 
 
+def pass_backgrounds(band_power, burst_cols, tail_cols, detector, win):
+    """The pass's flags, and every frame's background read from ``_background_at``
+    against them."""
+    burst, tail, _ = _background_and_flags(band_power, burst_cols, tail_cols, detector, win)
+    clean = ~(burst | tail)
+    latest = np.maximum.accumulate(np.where(clean, np.arange(len(clean)), -1))
+    before = np.concatenate(([-1], latest[:-1]))
+    bg = np.array([_background_at(band_power, clean, t, win, int(last)) for t, last in enumerate(before)])
+    return bg.reshape(band_power.shape), burst, tail
+
+
 def background(spec, bands):
-    """The detector's background pass run over every band, not only the gated
-    ones; its burst and tail bands still flag the frames it leaves out."""
+    """The detector's background over every band, not only the gated ones; its
+    burst and tail bands still flag the frames it leaves out."""
     detector = ClickDetector()
     nyquist = spec.sample_rate_hz / 2.0
     burst = [i for i, b in enumerate(bands) if b.lower_hz >= detector.burst_low_hz and b.upper_hz <= nyquist]
     lo, hi = detector.tail_band_hz
     tail = [i for i, b in enumerate(bands) if lo <= b.center_hz <= hi and b.upper_hz <= nyquist and i not in burst]
     win = max(2, round(detector.background_window_s / spec.frame_hop_s))
-    return _background_and_flags(frame_band_powers(spec, bands), burst, tail, detector, win)[0]
+    return pass_backgrounds(frame_band_powers(spec, bands), burst, tail, detector, win)[0]
 
 
 class TestEstimateBackground:
@@ -167,37 +180,77 @@ def reference_background_and_flags(band_power, burst_cols, tail_cols, detector, 
     return (bg, burst, tail), seen
 
 
+# Power ratios of exactly 16 and 4 let integer levels land on a threshold.
+EXACT_RATIOS = ClickDetector(onset_threshold_db=12.041199826559248, tail_threshold_db=6.020599913279624)
+# few distinct power-of-two levels, zeros included: ties everywhere
+LEVELS = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+
+
 class TestBackgroundPass:
-    def test_matches_brute_force_median(self):
+    """The pass against brute force, frame by frame. Each frame is tallied by
+    how the pass settled it: by bounds as a hit, by bounds as a miss, or from
+    the exact median."""
+
+    @pytest.fixture
+    def exact_frames(self, monkeypatch):
+        frames = []
+
+        def recording(band_power, clean, t, win, last_clean):
+            frames.append(t)
+            return _background_at(band_power, clean, t, win, last_clean)
+
+        monkeypatch.setattr(detector_module, "_background_at", recording)
+        return frames
+
+    def compare(self, rng, exact_frames, detector, win, T, n_bands):
+        """One random case; returns the reference's window tallies and the pass's."""
+        band_power = LEVELS[rng.integers(0, LEVELS.size, size=(T, n_bands))] * rng.choice([1e-6, 1.0])
+        for _ in range(int(rng.integers(0, 4))):
+            # loud stretches, some longer than the window, flag every frame
+            start = int(rng.integers(0, T))
+            band_power[start : start + int(rng.integers(1, 2 * win))] *= 1e4
+        cols = rng.permutation(n_bands).tolist()
+        split = int(rng.integers(0, min(n_bands, 4) + 1))
+        burst_cols, tail_cols = sorted(cols[:split]), sorted(cols[split:])
+
+        exact_frames.clear()
+        got = pass_backgrounds(band_power, burst_cols, tail_cols, detector, win)
+        exact = np.zeros(T, dtype=bool)
+        exact[exact_frames] = True
+        want, seen = reference_background_and_flags(band_power, burst_cols, tail_cols, detector, win)
+        for name, a, b in zip(("bg", "burst", "tail"), got, want):
+            assert np.array_equal(a, b), f"{name} differs (T={T}, win={win})"
+        flagged = got[1] | got[2]
+        settled = {"bound hit": flagged & ~exact, "bound miss": ~flagged & ~exact, "exact": exact}
+        return seen, {key: int(frames.sum()) for key, frames in settled.items()}
+
+    def test_matches_brute_force_median(self, exact_frames):
         rng = np.random.default_rng(2024)
-        # Power ratios of exactly 16 and 4 let integer levels land on a threshold.
-        exact = ClickDetector(onset_threshold_db=12.041199826559248, tail_threshold_db=6.020599913279624)
-        seen = {"empty": 0, "even": 0, "odd": 0, "tie": 0}
+        seen, tally = Counter(), Counter()
         short = 0
         for case in range(240):
-            detector = exact if case % 2 else ClickDetector()
             win = int(rng.integers(2, 41))
             T = int(rng.integers(1, 3 * win + 2))
             short += T < win
-            n_bands = int(rng.integers(1, 7))
-            # few distinct power-of-two levels, zeros included: ties everywhere
-            levels = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
-            band_power = levels[rng.integers(0, levels.size, size=(T, n_bands))] * rng.choice([1e-6, 1.0])
-            for _ in range(int(rng.integers(0, 4))):
-                # loud stretches, some longer than the window, flag every frame
-                start = int(rng.integers(0, T))
-                band_power[start : start + int(rng.integers(1, 2 * win))] *= 1e4
-            cols = rng.permutation(n_bands).tolist()
-            split = int(rng.integers(0, min(n_bands, 4) + 1))
-            burst_cols, tail_cols = sorted(cols[:split]), sorted(cols[split:])
-
-            got = _background_and_flags(band_power, burst_cols, tail_cols, detector, win)
-            want, case_seen = reference_background_and_flags(band_power, burst_cols, tail_cols, detector, win)
-            for name, a, b in zip(("bg", "burst", "tail"), got, want):
-                assert np.array_equal(a, b), f"case {case}: {name} differs (T={T}, win={win})"
-            for key in seen:
-                seen[key] += case_seen[key]
+            detector = EXACT_RATIOS if case % 2 else ClickDetector()
+            case_seen, case_tally = self.compare(rng, exact_frames, detector, win, T, int(rng.integers(1, 7)))
+            seen.update(case_seen)
+            tally.update(case_tally)
         assert short and all(seen.values()), (short, seen)
+        assert all(tally.values()), tally
+
+    @pytest.mark.parametrize("win", [375, 1500])  # 2 s of 256-sample hops at 48 and 192 kHz
+    def test_matches_brute_force_at_full_rate_windows(self, exact_frames, win):
+        rng = np.random.default_rng(win)
+        seen, tally = Counter(), Counter()
+        for case in range(4):
+            detector = EXACT_RATIOS if case % 2 else ClickDetector()
+            T = 3 * win + int(rng.integers(0, 2 * win))  # several blocks, and stretches that empty the window
+            case_seen, case_tally = self.compare(rng, exact_frames, detector, win, T, int(rng.integers(2, 7)))
+            seen.update(case_seen)
+            tally.update(case_tally)
+        assert all(seen.values()), seen
+        assert all(tally.values()), tally
 
 
 class TestDetectEvents:
