@@ -56,7 +56,7 @@ def _parse_depths(text: str) -> tuple[float, ...]:
         depths = ()
     if not depths:
         raise argparse.ArgumentTypeError(f"expected comma-separated depths in meters, got {text!r}")
-    deepest = ShroudModel().reference_depth_m
+    deepest = ShroudModel.reference_depth_m
     for depth in depths:
         if not 0.0 <= depth <= deepest:  # NaN fails too
             raise argparse.ArgumentTypeError(f"each depth must lie in [0, {deepest}] m, got {depth}")
@@ -65,7 +65,7 @@ def _parse_depths(text: str) -> tuple[float, ...]:
 
 _DETECTOR_KEYS = tuple(field.name for field in fields(ClickDetector))
 _SIM_KEYS = tuple(field.name for field in fields(SimConfig) if field.name != "click_times_s")
-_SHROUD_KEYS = ("dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db")
+_SHROUD_KEYS = ("attenuation_db", "corner_hz", "attenuation_cap_db")
 
 #: Every config key and its default, read from the key's owner: the detector's
 #: parameters, the soundscape's knobs, the CLI's own click count and the

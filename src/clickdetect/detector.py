@@ -51,6 +51,20 @@ def _require_finite(settings, unbounded: Sequence[str] = ()) -> None:
                     raise ValueError(f"{field.name} must be finite, got {value}")
 
 
+def _require_power(settings, names: Sequence[str]) -> None:
+    """Raise naming the first of the dB fields ``names`` of ``settings`` whose
+    power ``10 ** (x / 10)`` is not a positive finite float, which holds from
+    about -3,236 to +3,082 dB."""
+    for name in names:
+        value = getattr(settings, name)
+        try:
+            power = 10.0 ** (value / 10.0)
+        except OverflowError:
+            power = math.inf
+        if not 0.0 < power < math.inf:
+            raise ValueError(f"{name} of {value} dB has no positive finite power")
+
+
 @dataclass(frozen=True)
 class ClickDetector:
     """The detector's 14 settings, checked once at construction, and `predict`.
@@ -87,6 +101,7 @@ class ClickDetector:
             raise ValueError(f"tail_band_hz must be a pair of numbers, got {self.tail_band_hz!r}")
         object.__setattr__(self, "tail_band_hz", (lo, hi))
         _require_finite(self)
+        _require_power(self, ("onset_threshold_db", "tail_threshold_db", "silence_floor_db"))
         if not 0.0 < self.burst_min_s < self.burst_max_s:
             raise ValueError(f"need 0 < burst_min_s < burst_max_s, got ({self.burst_min_s}, {self.burst_max_s})")
         if not 0.0 < self.tail_min_s < self.tail_max_s:
@@ -154,15 +169,24 @@ def snr_db(event_power: float, background_power: float) -> float:
 _BLOCK = 64
 
 
-def _left_to_right_sum(terms):
-    """Sum ``terms`` in order, uncompensated. The burst gate and the burst
-    reference may not depend on how a Python or numpy version orders or
-    compensates a sum: 3.12's builtin ``sum`` compensates floats, and numpy's
-    1-D sum pairs terms from eight on."""
-    total = 0.0
-    for term in terms:
-        total = total + term
+def _burst_total(power: np.ndarray, n_burst: int) -> np.ndarray:
+    """The first ``n_burst`` columns of ``power`` (its last axis) summed left
+    to right, uncompensated, or zeros for none. The burst gate may not depend
+    on how a numpy or Python version orders a sum: numpy pairs the terms of a
+    1-D sum or of a strided view's rows from eight on, and 3.12's ``sum``
+    compensates floats."""
+    total = np.zeros(power.shape[:-1])
+    for i in range(n_burst):
+        total = total + power[..., i]
     return total
+
+
+def _burst_reference(med: np.ndarray, n_burst: int, detector: ClickDetector) -> np.ndarray:
+    """The burst gate's reference: the summed burst-band medians in ``med``'s
+    first ``n_burst`` columns, raised to the silence floor of that many bands
+    (of one band when there is none)."""
+    floor = 10.0 ** (detector.silence_floor_db / 10.0) * max(n_burst, 1)
+    return np.maximum(_burst_total(med, n_burst), floor)
 
 
 def _background_at(band_power: np.ndarray, clean: np.ndarray, t: int, win: int, last_clean: int) -> np.ndarray:
@@ -189,19 +213,16 @@ def _background_at(band_power: np.ndarray, clean: np.ndarray, t: int, win: int, 
 
 
 def _background_and_flags(
-    band_power: np.ndarray,
-    burst_cols: Sequence[int],
-    tail_cols: Sequence[int],
-    detector: ClickDetector,
-    win: int,
+    band_power: np.ndarray, n_burst: int, detector: ClickDetector, win: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame gate flags against a causal trailing-median background.
 
     Frame t's background is ``_background_at``: the per-band median of the
     clean (unflagged) frames in [t - win, t), so the events being detected
-    cannot inflate their own reference. The burst gate compares the frame's
-    summed burst-band power with the left-to-right sum of the burst bands'
-    medians; the tail gate compares each tail band with its median.
+    cannot inflate their own reference. ``band_power`` holds the burst bands'
+    ``n_burst`` columns, then the tail bands'. The burst gate compares the
+    frame's summed burst-band power with ``_burst_reference``; the tail gate
+    compares each tail band with its median.
 
     Most frames need only bounds on their median. The pass works in blocks of
     ``min(_BLOCK, win)`` frames and sorts the clean window of the block's first
@@ -219,16 +240,12 @@ def _background_and_flags(
     onset_ratio = 10.0 ** (detector.onset_threshold_db / 10.0)
     tail_ratio = 10.0 ** (detector.tail_threshold_db / 10.0)
     floor = 10.0 ** (detector.silence_floor_db / 10.0)
-    burst_floor = floor * max(len(burst_cols), 1)
-    burst_total = band_power[:, list(burst_cols)].sum(axis=1)
-    gated = list(burst_cols) + list(tail_cols)
-    n_burst = len(burst_cols)
+    burst_total = _burst_total(band_power, n_burst)
 
     def gate(frames: np.ndarray, med: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # med holds one row per frame: the burst columns' medians, then the tail's
-        ref = _left_to_right_sum(med[:, i] for i in range(n_burst))
-        burst = burst_total[frames] >= onset_ratio * np.maximum(ref, burst_floor)
-        power = band_power[frames[:, None], tail_cols]
+        # med holds one row of gated-band medians per frame
+        burst = burst_total[frames] >= onset_ratio * _burst_reference(med, n_burst, detector)
+        power = band_power[frames, n_burst:]
         tail = (power >= tail_ratio * np.maximum(med[:, n_burst:], floor)).any(axis=1)
         return burst, tail
 
@@ -249,7 +266,7 @@ def _background_and_flags(
         settled = np.zeros(len(frames), dtype=bool)
         bounded = np.flatnonzero(low_rank >= 0)
         if bounded.size:
-            ranked = np.sort(band_power[rows[:, None], gated], axis=0)
+            ranked = np.sort(band_power[rows], axis=0)
             burst_high, tail_high = gate(frames[bounded], ranked[high_rank[bounded]])
             burst_low, tail_low = gate(frames[bounded], ranked[low_rank[bounded]])
             same = (burst_high == burst_low) & (tail_high == tail_low)
@@ -258,7 +275,7 @@ def _background_and_flags(
             burst_mask[at], tail_mask[at] = burst_low[same], tail_low[same]
             clean[at] = ~(burst_low[same] | tail_low[same])
         for t in frames[~settled].tolist():
-            med = _background_at(band_power, clean, t, win, last_clean)[gated]
+            med = _background_at(band_power, clean, t, win, last_clean)
             burst, tail = gate(np.array([t]), med[None])
             burst_mask[t], tail_mask[t], clean[t] = burst[0], tail[0], not (burst[0] or tail[0])
         clean_here = np.flatnonzero(clean[frames])
@@ -267,12 +284,12 @@ def _background_and_flags(
     return burst_mask, tail_mask, burst_total
 
 
-def _gated_band_power(spec: Spectrogram, detector: ClickDetector) -> tuple[np.ndarray, list[int], list[int]]:
-    """Per-frame power of the gated bands only, tail bands first.
+def _gated_band_power(spec: Spectrogram, detector: ClickDetector) -> tuple[np.ndarray, int]:
+    """Per-frame power of the gated bands only: the burst bands, then the tail's.
 
     The bands are the 1/3-octave grid from ``band_min_hz`` up to Nyquist.
-    Returns that matrix plus the burst and tail column lists indexing it.
-    Raises if the grid has no burst band or no tail band for ``detector``.
+    Returns that matrix and its number of burst columns. Raises if the grid
+    has no burst band or no tail band for ``detector``.
     """
     rate = spec.sample_rate_hz
     bands = _bands_within_nyquist(third_octave_bands(detector.band_min_hz, rate / 2.0), rate)
@@ -289,9 +306,7 @@ def _gated_band_power(spec: Spectrogram, detector: ClickDetector) -> tuple[np.nd
         raise ValueError(f"no band centered inside tail_band_hz={detector.tail_band_hz}")
     # Every band, then slice: a matmul over fewer columns is not promised to
     # give bitwise the same powers, and the events depend on them exactly.
-    band_power = frame_band_powers(spec, bands)[:, tail_cols + burst_cols]
-    n_tail = len(tail_cols)
-    return band_power, list(range(n_tail, band_power.shape[1])), list(range(n_tail))
+    return frame_band_powers(spec, bands)[:, burst_cols + tail_cols], len(burst_cols)
 
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -337,11 +352,10 @@ def detect_events(spec: Spectrogram, detector: ClickDetector) -> list[DetectionE
     # The background pass is the costliest stage after the band powers; run it
     # only over the gated bands.
     win = max(2, round(detector.background_window_s / hop_s))
-    band_power, burst_cols, tail_cols = _gated_band_power(spec, detector)
-    burst_mask, tail_mask, burst_total = _background_and_flags(band_power, burst_cols, tail_cols, detector, win)
+    band_power, n_burst = _gated_band_power(spec, detector)
+    burst_mask, tail_mask, burst_total = _background_and_flags(band_power, n_burst, detector, win)
     clean = ~(burst_mask | tail_mask)
     clean_frames = np.flatnonzero(clean)
-    burst_floor = 10.0 ** (detector.silence_floor_db / 10.0) * len(burst_cols)
 
     T = spec.n_frames
     events: list[DetectionEvent] = []
@@ -358,7 +372,7 @@ def detect_events(spec: Spectrogram, detector: ClickDetector) -> list[DetectionE
 
         latest = np.searchsorted(clean_frames, start) - 1
         med = _background_at(band_power, clean, start, win, clean_frames[latest] if latest >= 0 else -1)
-        reference = max(float(_left_to_right_sum(med[c] for c in burst_cols)), burst_floor)
+        reference = float(_burst_reference(med, n_burst, detector))
         excess = float(burst_total[start:stop].max()) - reference
         peak_snr = snr_db(max(excess, 0.0), reference)
         score = 0.5 * _clamp01(peak_snr / 20.0) + 0.5 * _clamp01(tail_dur / 0.3)

@@ -266,7 +266,7 @@ def depth_sweep(
     columns: list[np.ndarray] = []
     kept_bands: tuple[Band, ...] | None = None
     for depth in depths_m:
-        filtered = apply_shroud(noise, replace(model, inset_depth_m=float(depth)), on_axis=False)
+        filtered = apply_shroud(noise, replace(model, inset_depth_m=float(depth)))
         profile = band_powers(filtered, bands)
         kept_bands = profile.bands
         columns.append(profile.power_db)

@@ -1,5 +1,6 @@
 """Seeded synthesis of test audio: pink noise, factory soundscape, clicks,
-SNR-controlled mixes, and a parametric dish/shroud transfer model.
+SNR-controlled mixes, and a parametric model of the shroud's off-axis
+attenuation.
 
 Everything here is a pure function of (config, seed) so corpora are exactly
 reproducible. Absolute levels are digital full-scale, never calibrated SPL.
@@ -12,12 +13,12 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .audio_io import DEFAULT_SAMPLE_RATE_HZ, SampleBuffer, write_wav
-from .detector import ClickDetector, _gated_band_power, _require_finite
+from .detector import ClickDetector, _burst_total, _gated_band_power, _require_finite, _require_power
 from .spectral import stft
 
 __all__ = [
@@ -66,6 +67,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "click_times_s", tuple(float(t) for t in self.click_times_s))
         _require_finite(self)
+        _require_power(self, ("target_snr_db",))
         if not self.duration_s > 0.0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
         if not self.transient_rate_hz >= 0.0:
@@ -76,10 +78,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Labeled event times; ``clipped_times`` flags injections that saturated."""
+    """Labeled event times."""
 
     events: tuple[tuple[float, str], ...]
-    clipped_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         times = [t for t, _ in self.events]
@@ -95,37 +96,27 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class ShroudModel:
-    """Parametric transfer of the parabolic dish plus cylindrical shroud.
+    """Parametric off-axis transfer of the cylindrical shroud.
 
-    The dish gives on-axis aperture gain rising with frequency and capped;
-    the shroud shadows off-axis sound progressively with inset depth and
+    The shroud shadows off-axis sound progressively with inset depth and
     frequency above a corner. Constants are free parameters of the model, not
     measured values; the model's job is to reproduce the depth ordering.
     """
 
-    dish_diameter_m: float = 0.6096
     inset_depth_m: float = 0.6096
     attenuation_db: float = 8.0  # per octave above corner_hz at reference depth
-    reference_depth_m: float = 0.6096
     corner_hz: float = 500.0
     attenuation_cap_db: float = 40.0
-    gain_cap_db: float = 20.0
-    speed_of_sound_m_s: float = 343.0
+    reference_depth_m: ClassVar[float] = 0.6096
 
     def __post_init__(self) -> None:
-        _require_finite(self, unbounded=("attenuation_cap_db", "gain_cap_db"))  # an infinite cap is no cap
+        _require_finite(self, unbounded=("attenuation_cap_db",))  # an infinite cap is no cap
         if not 0.0 <= self.inset_depth_m <= self.reference_depth_m + 1e-9:
             raise ValueError(
                 f"inset_depth_m must lie in [0, {self.reference_depth_m}], got {self.inset_depth_m}"
             )
-        for name in ("dish_diameter_m", "corner_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-    def on_axis_gain_db(self, f_hz) -> np.ndarray:
-        f = np.asarray(f_hz, dtype=np.float64)
-        ka = np.pi * self.dish_diameter_m * f / self.speed_of_sound_m_s
-        return np.minimum(self.gain_cap_db, 20.0 * np.log10(np.maximum(1.0, ka)))
+        if not self.corner_hz > 0:
+            raise ValueError(f"corner_hz must be positive, got {self.corner_hz}")
 
     def off_axis_attenuation_db(self, f_hz) -> np.ndarray:
         f = np.asarray(f_hz, dtype=np.float64)
@@ -262,8 +253,7 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
     power exceeds the noise's time-averaged power in the same bands by
     ``cfg.target_snr_db``; both are measured with the front end of a default
     ``ClickDetector``. The noise component is preserved exactly outside the
-    injection windows; samples that leave full scale are clamped and the
-    affected injection is flagged in the ground truth.
+    injection windows; samples that leave full scale are clamped.
     """
     if click.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError(
@@ -278,14 +268,12 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
             raise ValueError(f"click at {t} s overruns the {noise.duration_s:.3f} s noise buffer")
 
     out = noise.samples.copy()
-    clipped: list[float] = []
     if times:
         detector = ClickDetector()
 
         def burst_track(buffer: SampleBuffer) -> np.ndarray:
             spec = stft(buffer, detector.window_len, detector.hop)
-            band_power, burst_cols, _ = _gated_band_power(spec, detector)
-            return band_power[:, burst_cols].sum(axis=1)
+            return _burst_total(*_gated_band_power(spec, detector))
 
         noise_ref = float(burst_track(noise).mean())
         if noise_ref <= 0.0:
@@ -293,33 +281,23 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
         click_peak = float(burst_track(click).max())
         gain = math.sqrt(10.0 ** (cfg.target_snr_db / 10.0) * noise_ref / click_peak)
         scaled = gain * click.samples
-        for t, i0 in zip(times, starts):
+        for i0 in starts:
             out[i0 : i0 + n_click] += scaled
-        over = np.abs(out) > 1.0
-        if over.any():
-            for t, i0 in zip(times, starts):
-                if over[i0 : i0 + n_click].any():
-                    clipped.append(t)
-            np.clip(out, -1.0, 1.0, out=out)
-    truth = GroundTruth(tuple((t, "connection_click") for t in times), tuple(clipped))
+        np.clip(out, -1.0, 1.0, out=out)  # leaves in-range samples as they are
+    truth = GroundTruth(tuple((t, "connection_click") for t in times))
     return SampleBuffer(out, rate), truth
 
 
-def apply_shroud(buffer: SampleBuffer, model: ShroudModel, on_axis: bool = False) -> SampleBuffer:
-    """Filter the buffer through the dish/shroud transfer model.
+def apply_shroud(buffer: SampleBuffer, model: ShroudModel) -> SampleBuffer:
+    """Filter off-axis sound through the shroud's depth-dependent attenuation.
 
-    On-axis signals receive the dish gain; off-axis signals receive the
-    depth-dependent shroud attenuation. Linear (frequency-domain) except that
-    output exceeding full scale is clamped.
+    Linear (frequency-domain) except that output exceeding full scale is
+    clamped.
     """
     x = buffer.samples
     spectrum = np.fft.rfft(x)
     f = np.fft.rfftfreq(x.size, 1.0 / buffer.sample_rate_hz)
-    if on_axis:
-        gain_db = model.on_axis_gain_db(f)
-    else:
-        gain_db = -model.off_axis_attenuation_db(f)
-    y = np.fft.irfft(spectrum * 10.0 ** (gain_db / 20.0), x.size)
+    y = np.fft.irfft(spectrum * 10.0 ** (-model.off_axis_attenuation_db(f) / 20.0), x.size)
     peak = float(np.max(np.abs(y))) if y.size else 0.0
     if peak > 1.0:
         y = np.clip(y, -1.0, 1.0)

@@ -89,15 +89,18 @@ class TestDetect:
             ("silence_floor_db", "-inf"),
             ("band_min_hz", "inf"),
             ("tail_band_hz", "1000,inf"),
-            ("dish_diameter_m", "inf"),
             ("corner_hz", "inf"),
-            ("gain_cap_db", "-inf"),
             ("attenuation_cap_db", "-inf"),
+            # finite, but 10 ** (x / 10) overflows or underflows to 0
+            ("onset_threshold_db", "4000"),
+            ("tail_threshold_db", "3100"),
+            ("silence_floor_db", "-5000"),
+            ("target_snr_db", "4000"),
         ],
     )
     def test_non_finite_setting_exits_4_naming_key(self, silence_wav, tmp_path, capsys, key, value):
         out = tmp_path / "out"
-        if key == "duration_s":
+        if key in ("duration_s", "target_snr_db"):
             command = ["simulate", "--out-dir", str(out)]
         elif key in _DEFAULTS and key not in _DETECTOR_KEYS:
             command = ["depth-sweep", "--duration", "1", "--out", str(out)]
@@ -107,7 +110,7 @@ class TestDetect:
         assert key in capsys.readouterr().err
         assert not out.exists()  # no events file, so no NaN in one
 
-    @pytest.mark.parametrize("key", ["attenuation_cap_db", "gain_cap_db"])
+    @pytest.mark.parametrize("key", ["attenuation_cap_db"])
     def test_infinite_cap_means_no_cap(self, tmp_path, key):
         out = tmp_path / "sweep.csv"
         assert run("depth-sweep", "--duration", "1", "--depths", "0.3", "--set", f"{key}=inf", "--out", str(out)) == 0
@@ -121,6 +124,13 @@ class TestDetect:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 12\n")
         assert run("detect", str(silence_wav), "--config", str(cfg)) == 3
+
+    @pytest.mark.parametrize("setting", ["dish_diameter_m=0.5", "gain_cap_db=20"])
+    def test_removed_shroud_key_exits_3(self, tmp_path, setting):
+        # The dish's on-axis gain is gone, and with it the keys that set it.
+        out = tmp_path / "sweep.csv"
+        assert run("depth-sweep", "--duration", "1", "--set", setting, "--out", str(out)) == 3
+        assert not out.exists()
 
     def test_bad_value_exits_3(self, silence_wav):
         assert run("detect", str(silence_wav), "--set", "onset_threshold_db=loud") == 3
@@ -155,10 +165,10 @@ class TestConfig:
 
     def test_keys_come_from_their_owners(self):
         sim_keys = [f.name for f in dataclasses.fields(SimConfig) if f.name != "click_times_s"]
-        shroud_keys = ["dish_diameter_m", "attenuation_db", "corner_hz", "attenuation_cap_db", "gain_cap_db"]
+        shroud_keys = ["attenuation_db", "corner_hz", "attenuation_cap_db"]
         detector_keys = [f.name for f in dataclasses.fields(ClickDetector)]
         assert list(CONFIG_SPEC) == [*detector_keys, *sim_keys, "clicks", *shroud_keys]
-        assert len(CONFIG_SPEC) == 25
+        assert len(CONFIG_SPEC) == 23
         for key in detector_keys:
             assert _DEFAULTS[key] == getattr(ClickDetector, key)
         for key in sim_keys:

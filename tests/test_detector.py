@@ -9,7 +9,15 @@ import pytest
 
 from clickdetect import detector as detector_module
 from clickdetect.audio_io import SampleBuffer
-from clickdetect.detector import ClickDetector, DetectionEvent, _background_and_flags, _background_at, snr_db
+from clickdetect.detector import (
+    ClickDetector,
+    DetectionEvent,
+    _background_and_flags,
+    _background_at,
+    _burst_reference,
+    _burst_total,
+    snr_db,
+)
 from clickdetect.evaluation import match_detections
 from clickdetect.soundscape import CLICK_TOTAL_S, SimConfig, factory_noise, mix_at_snr, pink_noise, synth_click
 from clickdetect.spectral import frame_band_powers, stft, third_octave_bands
@@ -77,6 +85,9 @@ class TestClickSignature:
             {"background_window_s": math.nan},
             {"background_window_s": math.inf},
             {"band_min_hz": math.nan},
+            {"onset_threshold_db": 4000.0},  # the power overflows
+            {"tail_threshold_db": 3100.0},
+            {"silence_floor_db": -5000.0},  # the power underflows to 0
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -88,8 +99,9 @@ class TestClickSignature:
 
 def pass_backgrounds(band_power, burst_cols, tail_cols, detector, win):
     """The pass's flags, and every frame's background read from ``_background_at``
-    against them."""
-    burst, tail, _ = _background_and_flags(band_power, burst_cols, tail_cols, detector, win)
+    against them over all of ``band_power``'s columns."""
+    gated = band_power[:, list(burst_cols) + list(tail_cols)]
+    burst, tail, _ = _background_and_flags(gated, len(burst_cols), detector, win)
     clean = ~(burst | tail)
     latest = np.maximum.accumulate(np.where(clean, np.arange(len(clean)), -1))
     before = np.concatenate(([-1], latest[:-1]))
@@ -251,6 +263,49 @@ class TestBackgroundPass:
             tally.update(case_tally)
         assert all(seen.values()), seen
         assert all(tally.values()), tally
+
+
+class TestBurstSums:
+    """The burst total and reference add their columns left to right, never in
+    the pairs numpy uses for a 1-D sum or a strided view from eight terms on;
+    192 kHz has 10 burst bands."""
+
+    N_BURST = 10
+
+    @staticmethod
+    def left_to_right(power, n):
+        total = np.zeros(power.shape[:-1])
+        for i in range(n):
+            total = total + power[..., i]
+        return total
+
+    @staticmethod
+    def pairwise(row):
+        if len(row) == 1:
+            return row[0]
+        half = len(row) // 2
+        return TestBurstSums.pairwise(row[:half]) + TestBurstSums.pairwise(row[half:])
+
+    @pytest.mark.parametrize("T", [1, 2, 64])
+    def test_left_to_right_bitwise(self, T):
+        rng = np.random.default_rng(T)
+        # burst columns, then two tail columns that must not enter the sums
+        power = 10.0 ** rng.uniform(-12, 0, size=(T, self.N_BURST + 2))
+        want = self.left_to_right(power, self.N_BURST)
+        assert np.array_equal(_burst_total(power, self.N_BURST), want)
+        detector = ClickDetector()
+        floor = 10.0 ** (detector.silence_floor_db / 10.0) * self.N_BURST
+        assert np.array_equal(_burst_reference(power, self.N_BURST, detector), np.maximum(want, floor))
+        for row, expected in zip(power, want):  # one frame's medians, as event assembly passes them
+            assert _burst_reference(row, self.N_BURST, detector) == max(expected, floor)
+        if T > 1:  # the data tell the orders apart
+            assert any(self.pairwise(row[: self.N_BURST]) != total for row, total in zip(power, want))
+
+    def test_no_burst_column(self):
+        power = np.ones((5, 3))
+        assert np.array_equal(_burst_total(power, 0), np.zeros(5))
+        floor = 10.0 ** (ClickDetector().silence_floor_db / 10.0)
+        assert np.array_equal(_burst_reference(power, 0, ClickDetector()), np.full(5, floor))
 
 
 class TestDetectEvents:

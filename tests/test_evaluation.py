@@ -87,7 +87,6 @@ class TestMatchDetections:
     def test_unsorted_truth_rejected(self):
         bad = object.__new__(GroundTruth)
         object.__setattr__(bad, "events", ((5.0, "connection_click"), (2.0, "connection_click")))
-        object.__setattr__(bad, "clipped_times", ())
         with pytest.raises(ValueError, match="sorted"):
             match_detections([], bad)
 
