@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -21,7 +20,7 @@ from .audio_io import WavFormatError, read_wav
 from .detector import ClickDetector
 from .evaluation import depth_sweep, run_benchmark
 from .soundscape import ShroudModel, SimConfig, _write_clip
-from .spectral import band_powers, spectrogram_image, stft, third_octave_bands
+from .spectral import _usable_cpus, band_powers, spectrogram_image, stft, third_octave_bands
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -61,6 +60,16 @@ def _parse_depths(text: str) -> tuple[float, ...]:
         if not 0.0 <= depth <= deepest:  # NaN fails too
             raise argparse.ArgumentTypeError(f"each depth must lie in [0, {deepest}] m, got {depth}")
     return depths
+
+
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of processes >= 1, got {text!r}")
+    return jobs
 
 
 _DETECTOR_KEYS = tuple(field.name for field in fields(ClickDetector))
@@ -242,7 +251,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", parents=[common], help="score detections over a corpus manifest")
     p.add_argument("manifest")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_parse_jobs, default=_usable_cpus(),
+                   help="clips evaluated in parallel processes (default: the CPUs this process may use)")
     p.add_argument("--json", help="also write the report as JSON to this path")
     p.set_defaults(func=cmd_evaluate)
     return parser

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -170,6 +172,27 @@ def _evaluate_clip(args: tuple[str, str, ClickDetector]) -> tuple[int, int, int,
     return report.true_positives, report.false_positives, report.false_negatives, buffer.duration_s
 
 
+def _pin_to_share(shares) -> None:
+    """Pool initializer: run this worker on the next share of the CPUs in ``shares``."""
+    os.sched_setaffinity(0, shares.get())
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` processes, each kept on its own share of this process's CPUs.
+
+    A clip's band powers use every CPU their process may run on, so workers
+    that all kept every CPU would contend for them. With more workers than
+    CPUs, each gets one CPU, round robin.
+    """
+    if not hasattr(os, "sched_setaffinity"):  # no affinity mask on this platform
+        return ProcessPoolExecutor(workers)
+    cpus = sorted(os.sched_getaffinity(0))
+    shares = multiprocessing.SimpleQueue()
+    for k in range(workers):
+        shares.put(cpus[k % len(cpus) :: workers])
+    return ProcessPoolExecutor(workers, initializer=_pin_to_share, initargs=(shares,))
+
+
 def run_benchmark(
     manifest_path: str | Path,
     detector: ClickDetector = ClickDetector(),
@@ -181,6 +204,8 @@ def run_benchmark(
     paths relative to the manifest file. Clips are independent; ``jobs`` > 1
     evaluates them in parallel processes, aggregation stays in manifest order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     manifest_path = Path(manifest_path)
     entries = json.loads(manifest_path.read_text())
     if not isinstance(entries, list):
@@ -204,7 +229,7 @@ def run_benchmark(
     started = time.perf_counter()
     if jobs > 1 and len(tasks) > 1:
         # A fork pool starts all its workers at the first submit; no more than there are clips.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with _pool(min(jobs, len(tasks))) as pool:
             counts = list(pool.map(_evaluate_clip, tasks, chunksize=1))
     else:
         counts = [_evaluate_clip(task) for task in tasks]

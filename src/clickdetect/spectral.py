@@ -10,9 +10,11 @@ calibrated SPL is involved anywhere.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,6 +34,18 @@ __all__ = [
 _DB_FLOOR_POWER = 1e-30  # -300 dB, stands in for log(0)
 #: Windowed samples per FFT block (2 MiB of float64): 256 frames at window_len 1024.
 _STFT_BLOCK_SAMPLES = 262144
+#: Windowed samples per transform call inside a block: 32 frames at window_len 1024.
+_SLICE_SAMPLES = 32768
+
+_T = TypeVar("_T")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 class Band(NamedTuple):
@@ -48,8 +62,10 @@ class Spectrogram:
 
     The power of frame k is one-sided |DFT|^2 of the Hann-windowed samples
     [k*hop, k*hop + window_len), interior bins doubled so each frame satisfies
-    Parseval. No power is stored: ``frame_band_powers`` and
-    ``spectrogram_image`` each consume it one block of frames at a time.
+    Parseval. No power is stored: ``_map_power_blocks`` computes it one block
+    of frames at a time, on every CPU the process may use, and
+    ``frame_band_powers`` and ``spectrogram_image`` each consume it block by
+    block. The power does not depend on how many CPUs compute it.
     """
 
     buffer: SampleBuffer
@@ -85,27 +101,56 @@ class Spectrogram:
     def bin_frequencies_hz(self) -> np.ndarray:
         return np.arange(self.n_bins) * (self.sample_rate_hz / self.window_len)
 
-    def _power_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(start, block)``: the power of frames start, start + 1, ...
+    def _map_power_blocks(self, fn: Callable[[int, np.ndarray], _T]) -> list[_T]:
+        """``fn(start, power)`` for every block of frames, in block order.
 
-        ``block`` is one reused buffer of ``min(_STFT_BLOCK_SAMPLES //
-        window_len, n_frames)`` rows, overwritten by the next block; of the
-        last block only the first ``n_frames - start`` rows are valid. Every
-        block has the full height, so a matmul over it runs over the same
-        number of rows each time, and the windowed frames and their spectra
-        never exist for the whole recording.
+        ``power`` holds the power of frames start, start + 1, ... in
+        ``min(_STFT_BLOCK_SAMPLES // window_len, n_frames)`` rows; of the last
+        block only the first ``n_frames - start`` rows are valid. Every block
+        has the full height, so a matmul over it runs over the same number of
+        rows each time, and the windowed frames and their spectra never exist
+        for the whole recording.
+
+        The blocks are computed on every CPU the process may use: worker k of
+        n takes blocks k, k + n, ..., the calling thread is worker 0, and the
+        others are threads that end with the call. Each worker owns its
+        ``power`` buffer, which ``fn`` may overwrite and which the worker's
+        next block refills. So ``fn`` runs concurrently with itself and must
+        write only outputs of its own block. The power is computed row by
+        row, so it does not depend on the number of workers.
         """
-        n_frames = self.n_frames
-        frames = np.lib.stride_tricks.sliding_window_view(self.buffer.samples, self.window_len)[:: self.hop]
-        window = _hann(self.window_len)
-        height = min(max(1, _STFT_BLOCK_SAMPLES // self.window_len), n_frames)
-        windowed = np.empty((height, self.window_len))
-        power = np.empty((height, self.n_bins))
-        for start in range(0, n_frames, height):
-            valid = min(height, n_frames - start)
-            np.multiply(frames[start : start + valid], window, out=windowed[:valid])
-            _onesided_power(windowed[:valid], out=power[:valid])
-            yield start, power
+        n_frames, window_len = self.n_frames, self.window_len
+        frames = np.lib.stride_tricks.sliding_window_view(self.buffer.samples, window_len)[:: self.hop]
+        window = _hann(window_len)
+        height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), n_frames)
+        rows = min(max(1, _SLICE_SAMPLES // window_len), height)
+        n_blocks = -(-n_frames // height)
+        n_workers = min(_usable_cpus(), n_blocks)
+        results: list = [None] * n_blocks
+
+        def work(first: int) -> None:
+            power = np.zeros((height, self.n_bins))
+            # Slices of a block keep each worker's windowed frames and complex
+            # spectra small; the power buffer is the only full-height one.
+            windowed = np.empty((rows, window_len))
+            for block in range(first, n_blocks, n_workers):
+                start = block * height
+                valid = min(height, n_frames - start)
+                for lo in range(0, valid, rows):
+                    hi = min(lo + rows, valid)
+                    np.multiply(frames[start + lo : start + hi], window, out=windowed[: hi - lo])
+                    _onesided_power(windowed[: hi - lo], out=power[lo:hi])
+                results[block] = fn(start, power)
+
+        if n_workers == 1:
+            work(0)
+        else:
+            with ThreadPoolExecutor(n_workers - 1) as pool:
+                helpers = [pool.submit(work, k) for k in range(1, n_workers)]
+                work(0)
+                for helper in helpers:
+                    helper.result()
+        return results
 
 
 @dataclass(frozen=True)
@@ -218,9 +263,12 @@ def frame_band_powers(spec: Spectrogram, bands: Sequence[Band]) -> np.ndarray:
     # Multiply each full-height block and keep its valid rows: the power
     # matrix never exists, and every matmul has the same number of rows.
     out = np.empty((spec.n_frames, len(bands)))
-    for start, block in spec._power_blocks():
+
+    def reduce(start: int, block: np.ndarray) -> None:
         rows = out[start : start + len(block)]
         rows[:] = (block @ columns)[: len(rows)]
+
+    spec._map_power_blocks(reduce)
     out /= norm
     return out
 
@@ -232,22 +280,34 @@ def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80
     Power is mapped log-scale relative to the spectrogram's peak: db_floor and
     below -> 0, 0 dB (the peak) -> 255. An all-zero spectrogram is all black.
     Two passes over the power blocks, one for the peak and one for the
-    pixels, keep the memory to about the image's own size.
+    pixels, keep the memory to about the image's own size plus one block
+    per worker.
     """
     if not -math.inf < db_floor < 0:
         raise ValueError(f"db_floor must be finite and negative, got {db_floor}")
     n_frames = spec.n_frames
-    # Of the reused last block only the first n_frames - start rows are valid.
-    peak = max(float(block[: n_frames - start].max()) for start, block in spec._power_blocks())
+    # Of the last block only the first n_frames - start rows are valid.
+    peak = max(spec._map_power_blocks(lambda start, block: float(block[: n_frames - start].max())))
     image = np.zeros((spec.n_bins, n_frames), dtype=np.uint8)
+
+    def paint(start: int, block: np.ndarray) -> None:
+        # Scaled in place, in the order of 1 - 10 log10(power / peak) / db_floor:
+        # the block is this worker's own buffer, and a temporary per step
+        # would cost each worker several blocks of memory.
+        power = block[: n_frames - start]
+        np.divide(power, peak, out=power)
+        with np.errstate(divide="ignore"):
+            np.log10(power, out=power)
+        power *= 10.0
+        power /= db_floor
+        np.subtract(1.0, power, out=power)
+        np.clip(power, 0.0, 1.0, out=power)
+        power *= 255.0
+        # rows top->bottom = bins high->low; columns left->right = frames
+        image[::-1, start : start + len(power)] = np.rint(power, out=power).T
+
     if peak > 0.0:
-        for start, block in spec._power_blocks():
-            power = block[: n_frames - start]
-            with np.errstate(divide="ignore"):
-                db = 10.0 * np.log10(power / peak)
-            scaled = np.clip(1.0 - db / db_floor, 0.0, 1.0)
-            # rows top->bottom = bins high->low; columns left->right = frames
-            image[::-1, start : start + len(power)] = np.rint(scaled * 255.0).T
+        spec._map_power_blocks(paint)
     with Path(path).open("wb") as out:
         out.write(f"P5\n{n_frames} {spec.n_bins}\n255\n".encode("ascii"))
         image.tofile(out)

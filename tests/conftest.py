@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clickdetect.audio_io import SampleBuffer
+from clickdetect.spectral import _hann
 
 RATE = 48000
 
@@ -14,12 +15,23 @@ def tone(freq_hz: float, duration_s: float, amplitude: float = 1.0, rate: int = 
 
 
 def power_matrix(spec) -> np.ndarray:
+    """The [n_frames x n_bins] power of a spectrogram, as one whole-matrix formula.
+
+    The oracle for the spectrogram's blocks: it shares none of their code.
+    """
+    frames = np.lib.stride_tricks.sliding_window_view(spec.buffer.samples, spec.window_len)[:: spec.hop]
+    power = np.abs(np.fft.rfft(frames * _hann(spec.window_len), axis=-1)) ** 2
+    power[:, 1:-1] *= 2.0  # DC and Nyquist appear once
+    return power
+
+
+def blocked_power(spec) -> np.ndarray:
     """The [n_frames x n_bins] power of a spectrogram, assembled from its blocks.
 
-    Each block is copied: the spectrogram reuses one buffer for every block.
+    Each block is copied: a worker reuses one buffer for all its blocks.
     """
     n_frames = spec.n_frames
-    return np.concatenate([block[: n_frames - start].copy() for start, block in spec._power_blocks()])
+    return np.concatenate(spec._map_power_blocks(lambda start, block: block[: n_frames - start].copy()))
 
 
 def chunk(cid: bytes, body: bytes) -> bytes:

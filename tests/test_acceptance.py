@@ -31,7 +31,7 @@ from clickdetect.spectral import (
     third_octave_bands,
 )
 
-from conftest import RATE, power_matrix, tone
+from conftest import RATE, blocked_power, tone
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -125,14 +125,14 @@ class TestCriterion4SpectralCorrectness:
             duration = float(r.uniform(4.0, 8.0))
             x = 0.05 * r.standard_normal(round(duration * RATE))
             spec = stft(SampleBuffer(x, RATE))
-            err = abs(power_matrix(spec).sum() * correction / (x @ x) - 1)
+            err = abs(blocked_power(spec).sum() * correction / (x @ x) - 1)
             worst = max(worst, err)
         self.results["parseval_pct"] = worst * 100
         assert worst < 0.01
 
     def test_sinusoid_peak_bin_exact(self):
         spec = stft(tone(1000.0, 0.5))
-        assert (power_matrix(spec).argmax(axis=1) == 21).all()
+        assert (blocked_power(spec).argmax(axis=1) == 21).all()
         self.results["peak_bin"] = 21
 
     def test_white_noise_band_slope(self):

@@ -12,6 +12,7 @@ from clickdetect.audio_io import SampleBuffer, write_wav
 from clickdetect.cli import _DEFAULTS, _DETECTOR_KEYS, _SIM_KEYS, CONFIG_SPEC, _settings, build_parser, main
 from clickdetect.detector import ClickDetector
 from clickdetect.soundscape import ShroudModel, SimConfig, read_truth_csv
+from clickdetect.spectral import _usable_cpus
 
 from conftest import RATE, raw_wav_bytes, tone
 
@@ -352,6 +353,16 @@ class TestEvaluateCommand:
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run("evaluate", str(tmp_path / "nope.json")) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_3_naming_the_flag(self, tmp_path, capsys, jobs):
+        # Used to run serially and exit 0, even with no manifest to read.
+        assert run("evaluate", str(tmp_path / "nope.json"), "--jobs", jobs) == 3
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_default_is_the_usable_cpus(self):
+        # The affinity mask, not the machine's CPU count: a pinned run gets one process per CPU it may use.
+        assert build_parser().parse_args(["evaluate", "m.json"]).jobs == _usable_cpus()
 
     def test_malformed_manifest_exits_4(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"

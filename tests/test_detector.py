@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from clickdetect import detector as detector_module
+from clickdetect import spectral
 from clickdetect.audio_io import SampleBuffer
 from clickdetect.detector import (
     ClickDetector,
@@ -394,6 +396,18 @@ class TestDetectEvents:
             b.onset_s - a.onset_s >= 0.5 for a, b in zip(events, events[1:])
         )
         assert gaps_ok
+
+    def test_events_do_not_depend_on_the_band_power_workers(self, monkeypatch):
+        cfg = SimConfig(sample_rate_hz=RATE, seed=29, duration_s=20.0, transient_rate_hz=8.0,
+                        click_times_s=(3.0, 9.5, 16.0), target_snr_db=12.0)
+        mix, _ = mix_at_snr(synth_click(RATE, 29), factory_noise(cfg), cfg)
+        events = []
+        for workers in (1, 2):
+            monkeypatch.setattr(spectral, "_usable_cpus", lambda: workers)
+            before = threading.active_count()
+            events.append(ClickDetector().predict(mix))
+            assert threading.active_count() == before  # no helper thread outlives the call
+        assert events[0] and events[0] == events[1]
 
     def test_merged_onsets_never_closer_than_half_second(self):
         cfg = SimConfig(sample_rate_hz=RATE, seed=77, duration_s=30.0, transient_rate_hz=2.0)

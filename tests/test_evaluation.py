@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,12 @@ from clickdetect.soundscape import GroundTruth, ShroudModel, SimConfig, generate
 from clickdetect.spectral import band_powers, third_octave_bands
 
 from conftest import RATE, raw_wav_bytes
+
+
+def affinity_after_a_pause(_) -> frozenset:
+    """The CPUs a pool worker may run on; the pause lets every worker take a task."""
+    time.sleep(0.05)
+    return frozenset(os.sched_getaffinity(0))
 
 
 def click_at(onset_s: float, label: str = "connection_click") -> DetectionEvent:
@@ -139,6 +147,11 @@ class TestRunBenchmark:
         parallel = run_benchmark(small_corpus, jobs=2)
         assert serial.aggregate.to_json_dict() == parallel.aggregate.to_json_dict()
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, small_corpus, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_benchmark(small_corpus, jobs=jobs)
+
     def test_detector_crosses_the_pool(self, small_corpus):
         # The onset gate alone changes no count here, even at 30 dB; the tail gate does.
         strict = ClickDetector(onset_threshold_db=20.0, tail_threshold_db=12.0)
@@ -151,7 +164,7 @@ class TestRunBenchmark:
         sizes = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -168,6 +181,16 @@ class TestRunBenchmark:
         two = run_benchmark(small_corpus, jobs=2)
         assert sizes == [4, 2]  # 4 clips in the manifest
         assert many.aggregate.to_json_dict() == two.aggregate.to_json_dict()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask on this platform")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_worker_runs_on_its_own_share_of_the_cpus(self, workers):
+        cpus = sorted(os.sched_getaffinity(0))
+        with evaluation._pool(workers) as pool:
+            seen = set(pool.map(affinity_after_a_pause, range(6 * workers), chunksize=1))
+        shares = {frozenset(cpus[k % len(cpus) :: workers]) for k in range(workers)}
+        assert seen == shares
+        assert sorted(os.sched_getaffinity(0)) == cpus  # the caller keeps every CPU
 
     def test_noise_only_corpus_scores_perfect(self, tmp_path):
         manifest = generate_corpus(

@@ -1,9 +1,11 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from clickdetect import spectral
 from clickdetect.audio_io import SampleBuffer
 from clickdetect.soundscape import SimConfig, pink_noise
 from clickdetect.spectral import (
@@ -17,7 +19,7 @@ from clickdetect.spectral import (
     third_octave_bands,
 )
 
-from conftest import RATE, power_matrix, tone
+from conftest import RATE, blocked_power, power_matrix, tone
 
 
 def naive_windowed_dft_power(frame: np.ndarray) -> np.ndarray:
@@ -37,7 +39,7 @@ class TestStft:
         buf = tone(1000.0, 0.5)
         spec = stft(buf, 1024, 256)
         assert spec.n_bins == 513
-        power = power_matrix(spec)
+        power = blocked_power(spec)
         assert (power.argmax(axis=1) == 21).all()
         oracle = naive_windowed_dft_power(buf.samples[:1024])
         assert oracle.argmax() == 21
@@ -45,7 +47,7 @@ class TestStft:
 
     def test_zero_buffer_gives_zero_power(self):
         spec = stft(SampleBuffer(np.zeros(4096), RATE))
-        assert not power_matrix(spec).any()
+        assert not blocked_power(spec).any()
 
     def test_frame_count_formula(self):
         spec = stft(SampleBuffer(np.zeros(10000), RATE), 1024, 256)
@@ -58,26 +60,24 @@ class TestStft:
             r = np.random.default_rng(seed)
             x = 0.05 * r.standard_normal(6 * RATE)
             spec = stft(SampleBuffer(x, RATE))
-            estimate = power_matrix(spec).sum() * correction
+            estimate = blocked_power(spec).sum() * correction
             assert abs(estimate / (x @ x) - 1) < 0.01
 
     def test_deterministic(self, rng):
         x = SampleBuffer(0.1 * rng.standard_normal(RATE), RATE)
-        a = power_matrix(stft(x))
-        b = power_matrix(stft(x))
+        a = blocked_power(stft(x))
+        b = blocked_power(stft(x))
         assert (a == b).all()
 
-    def test_blocked_transform_matches_one_shot(self, rng):
+    def test_blocked_transform_matches_one_shot(self, rng, monkeypatch):
         # Enough frames for several FFT blocks and a partial last one.
         n_frames = 3 * (_STFT_BLOCK_SAMPLES // 1024) + 7
         x = 0.1 * rng.standard_normal(1024 + 256 * (n_frames - 1) + 100)
-        frames = np.lib.stride_tricks.sliding_window_view(x, 1024)[::256]
         spec = stft(SampleBuffer(x, RATE), 1024, 256)
         assert spec.n_frames == n_frames
-        # The one-shot transform over every frame, as a formula.
-        reference = np.abs(np.fft.rfft(frames * _hann(1024), axis=-1)) ** 2
-        reference[:, 1:-1] *= 2.0
-        assert np.array_equal(power_matrix(spec), reference)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(spectral, "_usable_cpus", lambda: workers)
+            assert np.array_equal(blocked_power(spec), power_matrix(spec))
 
     def test_rejects_bad_window_or_short_buffer(self):
         buf = SampleBuffer(np.zeros(4096), RATE)
@@ -280,7 +280,7 @@ class TestSpectrogramImage:
         spec = stft(SampleBuffer(np.zeros(4096), RATE))
         power = np.zeros((spec.n_frames, spec.n_bins))
         power[3, 5] = 1.0
-        monkeypatch.setattr(Spectrogram, "_power_blocks", lambda self: iter([(0, power)]))
+        monkeypatch.setattr(Spectrogram, "_map_power_blocks", lambda self, fn: [fn(0, power)])
         path = tmp_path / "cell.pgm"
         spectrogram_image(spec, path)
         w, h, img = parse_pgm(path.read_bytes())
@@ -325,3 +325,57 @@ class TestSpectrogramImage:
         finally:
             tracemalloc.stop()
         assert peak <= image_bytes + 16e6
+
+
+def frame_counts(window_len: int) -> tuple[int, ...]:
+    """One block, both sides of each block edge, and several partial last blocks."""
+    block = _STFT_BLOCK_SAMPLES // window_len
+    return (1, block - 1, block, block + 1, 2 * block + 1, 3 * block + 7)
+
+
+class TestWorkers:
+    """The power blocks are split across threads; nothing may depend on how many."""
+
+    @pytest.mark.parametrize("window_len", [256, 1024])
+    @pytest.mark.parametrize("rate", [44100, 96000])
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, rng, monkeypatch, rate, window_len):
+        hop = window_len // 4
+        bands = third_octave_bands(100, rate / 2)
+        for n_frames in frame_counts(window_len):
+            x = 0.01 * rng.standard_normal(window_len + hop * (n_frames - 1))
+            x[x.size // 3] = 0.9  # a click, so pixels span the whole scale
+            spec = stft(SampleBuffer(x, rate), window_len, hop)
+            assert spec.n_frames == n_frames
+            powers, images = [], []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(spectral, "_usable_cpus", lambda: workers)
+                powers.append(frame_band_powers(spec, bands))
+                path = tmp_path / f"{workers}.pgm"
+                spectrogram_image(spec, path, db_floor=-60.0)
+                images.append(path.read_bytes())
+            assert all(np.array_equal(powers[0], p) for p in powers[1:])
+            assert images[0] == images[1] == images[2]
+
+    def test_no_thread_outlives_the_image(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 3)
+        spec = stft(SampleBuffer(0.1 * rng.standard_normal(10 * RATE), RATE))
+        before = threading.active_count()
+        spectrogram_image(spec, tmp_path / "x.pgm")
+        assert threading.active_count() == before
+
+    def test_a_helper_threads_error_reaches_the_caller(self, rng, monkeypatch):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        spec = stft(SampleBuffer(0.1 * rng.standard_normal(10 * RATE), RATE))
+        caller = threading.get_ident()
+        helper_blocks = []
+
+        def fail_off_the_caller(start, block):
+            if threading.get_ident() != caller:
+                helper_blocks.append(start)
+                raise ArithmeticError(f"block at frame {start}")
+
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="block at frame"):
+            spec._map_power_blocks(fail_off_the_caller)
+        assert helper_blocks  # the error was raised on a helper thread
+        assert threading.active_count() == before
