@@ -148,17 +148,19 @@ def read_wav(path: str | Path) -> SampleBuffer:
     if sample_rate < MIN_SAMPLE_RATE_HZ:
         raise WavFormatError(f"{path}: nSamplesPerSec = {sample_rate}, below {MIN_SAMPLE_RATE_HZ} Hz")
 
+    if format_tag == _FMT_IEEE_FLOAT and bits != 32:
+        raise WavFormatError(f"{path}: wBitsPerSample = {bits} for float data, only 32 supported")
+    if format_tag == _FMT_PCM and bits not in (16, 24):
+        raise WavFormatError(f"{path}: wBitsPerSample = {bits}, only 16/24-bit PCM or 32-bit float")
     if block_align:
         data = data[: len(data) - len(data) % block_align]
-    if bits in (16, 32) and len(data) % (bits // 8):
+    if len(data) % (n_channels * bits // 8):
         raise WavFormatError(
             f"{path}: nBlockAlign = {block_align} and the {len(data)}-byte data chunk is not a whole "
-            f"number of {bits}-bit samples"
+            f"number of {n_channels}-channel {bits}-bit frames"
         )
 
     if format_tag == _FMT_IEEE_FLOAT:
-        if bits != 32:
-            raise WavFormatError(f"{path}: wBitsPerSample = {bits} for float data, only 32 supported")
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
         if samples.size and math.isnan(samples.max()):  # max propagates NaN
             raise WavFormatError(f"{path}: data chunk holds NaN samples")
@@ -166,18 +168,15 @@ def read_wav(path: str | Path) -> SampleBuffer:
     elif bits == 16:
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
         samples /= 32768.0
-    elif bits == 24:
-        b = np.frombuffer(data, dtype=np.uint8)
-        b = b[: (b.size // 3) * 3].reshape(-1, 3).astype(np.uint32)
+    else:  # 24-bit PCM
+        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.uint32)
         u = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
         signed = u.astype(np.int32)
         signed[signed >= 1 << 23] -= 1 << 24
         samples = signed.astype(np.float64) / float(1 << 23)
-    else:
-        raise WavFormatError(f"{path}: wBitsPerSample = {bits}, only 16/24-bit PCM or 32-bit float")
 
     if n_channels == 2:
-        samples = _mono(samples[: (samples.size // 2) * 2].reshape(-1, 2))
+        samples = _mono(samples.reshape(-1, 2))
     samples.flags.writeable = False  # nothing else holds it: SampleBuffer need not copy
     return SampleBuffer(samples, int(sample_rate))
 

@@ -304,9 +304,7 @@ def _gated_band_power(spec: Spectrogram, detector: ClickDetector) -> tuple[np.nd
         raise ValueError(f"no band lies fully between burst_low_hz={detector.burst_low_hz} Hz and Nyquist")
     if not tail_cols:
         raise ValueError(f"no band centered inside tail_band_hz={detector.tail_band_hz}")
-    # Every band, then slice: a matmul over fewer columns is not promised to
-    # give bitwise the same powers, and the events depend on them exactly.
-    return frame_band_powers(spec, bands)[:, burst_cols + tail_cols], len(burst_cols)
+    return frame_band_powers(spec, [bands[i] for i in burst_cols + tail_cols]), len(burst_cols)
 
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:

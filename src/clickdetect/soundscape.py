@@ -161,15 +161,14 @@ def _factory_parts(cfg: SimConfig):
     rate = cfg.sample_rate_hz
     rng = np.random.default_rng(cfg.seed)
     f = np.fft.rfftfreq(n, 1.0 / rate)
-    floor = _shaped_noise(rng, n, _lowpass_amplitude(f))
-    floor *= FACTORY_FLOOR_RMS / math.sqrt(float(np.mean(floor**2)))
+    x = _shaped_noise(rng, n, _lowpass_amplitude(f))  # the floor; transients add in place
+    x *= FACTORY_FLOOR_RMS / math.sqrt(float(np.mean(x**2)))
 
     events: list[tuple[float, float, float]] = []
     count = int(rng.poisson(cfg.transient_rate_hz * cfg.duration_s))
     durations = rng.uniform(0.03, 0.15, count)
     levels_db = rng.uniform(6.0, 15.0, count)
     starts = rng.uniform(0.0, np.maximum(cfg.duration_s - durations, 0.0))
-    x = floor.copy()
     for start, dur, level in zip(starts, durations, levels_db):
         i0 = int(round(start * rate))
         seg_len = int(round(dur * rate))
@@ -185,8 +184,7 @@ def _factory_parts(cfg: SimConfig):
             seg[-ramp:] *= fade[::-1]
         x[i0 : i0 + seg_len] += seg
         events.append((float(start), float(dur), float(level)))
-    if x.size and float(np.max(np.abs(x))) > 1.0:
-        x = np.clip(x, -1.0, 1.0)  # headroom is generous; guard only
+    np.clip(x, -1.0, 1.0, out=x)  # headroom is generous; guard only
     return x, events
 
 
@@ -298,9 +296,7 @@ def apply_shroud(buffer: SampleBuffer, model: ShroudModel) -> SampleBuffer:
     spectrum = np.fft.rfft(x)
     f = np.fft.rfftfreq(x.size, 1.0 / buffer.sample_rate_hz)
     y = np.fft.irfft(spectrum * 10.0 ** (-model.off_axis_attenuation_db(f) / 20.0), x.size)
-    peak = float(np.max(np.abs(y))) if y.size else 0.0
-    if peak > 1.0:
-        y = np.clip(y, -1.0, 1.0)
+    np.clip(y, -1.0, 1.0, out=y)  # leaves in-range samples as they are
     return SampleBuffer(y, buffer.sample_rate_hz)
 
 

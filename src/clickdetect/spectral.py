@@ -32,10 +32,8 @@ __all__ = [
 ]
 
 _DB_FLOOR_POWER = 1e-30  # -300 dB, stands in for log(0)
-#: Windowed samples per FFT block (2 MiB of float64): 256 frames at window_len 1024.
-_STFT_BLOCK_SAMPLES = 262144
-#: Windowed samples per transform call inside a block: 32 frames at window_len 1024.
-_SLICE_SAMPLES = 32768
+#: Windowed samples per FFT block (1 MiB of float64): 128 frames at window_len 1024.
+_STFT_BLOCK_SAMPLES = 131072
 
 _T = TypeVar("_T")
 
@@ -104,12 +102,10 @@ class Spectrogram:
     def _map_power_blocks(self, fn: Callable[[int, np.ndarray], _T]) -> list[_T]:
         """``fn(start, power)`` for every block of frames, in block order.
 
-        ``power`` holds the power of frames start, start + 1, ... in
-        ``min(_STFT_BLOCK_SAMPLES // window_len, n_frames)`` rows; of the last
-        block only the first ``n_frames - start`` rows are valid. Every block
-        has the full height, so a matmul over it runs over the same number of
-        rows each time, and the windowed frames and their spectra never exist
-        for the whole recording.
+        ``power`` holds the power of frames start, start + 1, ...: up to
+        ``_STFT_BLOCK_SAMPLES // window_len`` rows, fewer in the last block.
+        The windowed frames and their spectra never exist for the whole
+        recording.
 
         The blocks are computed on every CPU the process may use: worker k of
         n takes blocks k, k + n, ..., the calling thread is worker 0, and the
@@ -123,24 +119,18 @@ class Spectrogram:
         frames = np.lib.stride_tricks.sliding_window_view(self.buffer.samples, window_len)[:: self.hop]
         window = _hann(window_len)
         height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), n_frames)
-        rows = min(max(1, _SLICE_SAMPLES // window_len), height)
         n_blocks = -(-n_frames // height)
         n_workers = min(_usable_cpus(), n_blocks)
         results: list = [None] * n_blocks
 
         def work(first: int) -> None:
-            power = np.zeros((height, self.n_bins))
-            # Slices of a block keep each worker's windowed frames and complex
-            # spectra small; the power buffer is the only full-height one.
-            windowed = np.empty((rows, window_len))
+            windowed = np.empty((height, window_len))
+            power = np.empty((height, self.n_bins))
             for block in range(first, n_blocks, n_workers):
                 start = block * height
-                valid = min(height, n_frames - start)
-                for lo in range(0, valid, rows):
-                    hi = min(lo + rows, valid)
-                    np.multiply(frames[start + lo : start + hi], window, out=windowed[: hi - lo])
-                    _onesided_power(windowed[: hi - lo], out=power[lo:hi])
-                results[block] = fn(start, power)
+                rows = frames[start : start + height]
+                np.multiply(rows, window, out=windowed[: len(rows)])
+                results[block] = fn(start, _onesided_power(windowed[: len(rows)], out=power[: len(rows)]))
 
         if n_workers == 1:
             work(0)
@@ -223,6 +213,16 @@ def _bands_within_nyquist(bands: Sequence[Band], sample_rate_hz: int) -> list[Ba
     return [b for b in bands if b.upper_hz <= nyquist * (1.0 + 1e-12)]
 
 
+def _band_bins(freqs: np.ndarray, bands: Sequence[Band]) -> np.ndarray:
+    """The [start, stop) bin indices of each band, one row per band.
+
+    A bin belongs to a band when its center frequency lies in the band's
+    half-open [lower, upper) interval; ``freqs`` is ascending.
+    """
+    edges = np.array([(band.lower_hz, band.upper_hz) for band in bands]).reshape(-1, 2)
+    return np.searchsorted(freqs, edges, side="left")
+
+
 def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile:
     """Sum full-buffer periodogram power into 1/3-octave bands, in dB.
 
@@ -240,8 +240,7 @@ def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile
     periodogram = _onesided_power(x[np.newaxis, :])[0] / (n * n)  # sums to mean(x^2)
     freqs = np.arange(periodogram.size) * (buffer.sample_rate_hz / n)
     power_db = np.empty(len(kept))
-    for i, band in enumerate(kept):
-        j0, j1 = np.searchsorted(freqs, (band.lower_hz, band.upper_hz), side="left")
+    for i, (j0, j1) in enumerate(_band_bins(freqs, kept)):
         total = float(periodogram[j0:j1].sum())
         power_db[i] = 10.0 * math.log10(max(total, _DB_FLOOR_POWER))
     return BandPowerProfile(tuple(kept), power_db)
@@ -252,21 +251,28 @@ def frame_band_powers(spec: Spectrogram, bands: Sequence[Band]) -> np.ndarray:
 
     Normalized by N * sum(hann^2) so stationary noise of variance s^2 yields
     band powers summing to ~s^2, directly comparable with ``band_powers``.
+    Each band is summed over its own bins alone, so its column does not
+    depend on which other bands are asked for, nor on the block layout.
     """
-    freqs = spec.bin_frequencies_hz
+    n_bins = spec.n_bins
     window = _hann(spec.window_len)
     norm = spec.window_len * float(np.sum(window**2))
-    columns = np.zeros((spec.n_bins, len(bands)))
-    for i, band in enumerate(bands):
-        j0, j1 = np.searchsorted(freqs, (band.lower_hz, band.upper_hz), side="left")
-        columns[j0:j1, i] = 1.0
-    # Multiply each full-height block and keep its valid rows: the power
-    # matrix never exists, and every matmul has the same number of rows.
-    out = np.empty((spec.n_frames, len(bands)))
+    bins = _band_bins(spec.bin_frequencies_hz, bands)
+    # reduceat sums bins [index[i], index[i + 1]) into column i, so with
+    # (start, stop) pairs the even columns are the bands. The bin count is not
+    # a valid index: a band reaching the top bin is summed from its start
+    # alone, as the last index. A band without bins stays 0.
+    inner = [k for k, (j0, j1) in enumerate(bins) if j0 < j1 < n_bins]
+    top = [k for k, (j0, j1) in enumerate(bins) if j0 < j1 == n_bins]
+    index = bins[inner].ravel()
+    out = np.zeros((spec.n_frames, len(bands)))
 
     def reduce(start: int, block: np.ndarray) -> None:
         rows = out[start : start + len(block)]
-        rows[:] = (block @ columns)[: len(rows)]
+        if inner:
+            rows[:, inner] = np.add.reduceat(block, index, axis=1)[:, ::2]
+        for k in top:
+            rows[:, k] = np.add.reduceat(block, bins[k, :1], axis=1)[:, 0]
 
     spec._map_power_blocks(reduce)
     out /= norm
@@ -286,15 +292,13 @@ def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80
     if not -math.inf < db_floor < 0:
         raise ValueError(f"db_floor must be finite and negative, got {db_floor}")
     n_frames = spec.n_frames
-    # Of the last block only the first n_frames - start rows are valid.
-    peak = max(spec._map_power_blocks(lambda start, block: float(block[: n_frames - start].max())))
+    peak = max(spec._map_power_blocks(lambda start, block: float(block.max())))
     image = np.zeros((spec.n_bins, n_frames), dtype=np.uint8)
 
-    def paint(start: int, block: np.ndarray) -> None:
+    def paint(start: int, power: np.ndarray) -> None:
         # Scaled in place, in the order of 1 - 10 log10(power / peak) / db_floor:
         # the block is this worker's own buffer, and a temporary per step
         # would cost each worker several blocks of memory.
-        power = block[: n_frames - start]
         np.divide(power, peak, out=power)
         with np.errstate(divide="ignore"):
             np.log10(power, out=power)

@@ -30,8 +30,7 @@ def blocked_power(spec) -> np.ndarray:
 
     Each block is copied: a worker reuses one buffer for all its blocks.
     """
-    n_frames = spec.n_frames
-    return np.concatenate(spec._map_power_blocks(lambda start, block: block[: n_frames - start].copy()))
+    return np.concatenate(spec._map_power_blocks(lambda start, block: block.copy()))
 
 
 def chunk(cid: bytes, body: bytes) -> bytes:

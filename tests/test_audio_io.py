@@ -148,19 +148,23 @@ class TestReadWav:
             read_wav(path)
 
     @pytest.mark.parametrize(
-        "fmt, bits, size, block_align",
+        "fmt, bits, channels, size, block_align",
         [
-            pytest.param(1, 16, 5, 0, id="1-16-5"),
-            pytest.param(3, 32, 6, 0, id="3-32-6"),
+            pytest.param(1, 16, 1, 5, 0, id="1-16-5"),
+            pytest.param(3, 32, 1, 6, 0, id="3-32-6"),
+            pytest.param(1, 24, 1, 7, 0, id="1-24-7"),
+            # Three whole samples, but not whole stereo frames.
+            pytest.param(1, 16, 2, 6, 0, id="1-16-stereo-6"),
             # A block that is not a whole number of samples leaves a partial one.
-            pytest.param(1, 16, 100, 3, id="1-16-100-align3"),
-            pytest.param(1, 16, 99, 3, id="1-16-99-align3"),
-            pytest.param(1, 16, 7, 1, id="1-16-7-align1"),
+            pytest.param(1, 16, 1, 100, 3, id="1-16-100-align3"),
+            pytest.param(1, 16, 1, 99, 3, id="1-16-99-align3"),
+            pytest.param(1, 16, 1, 7, 1, id="1-16-7-align1"),
         ],
     )
-    def test_zero_block_align_partial_sample_named(self, tmp_path, fmt, bits, size, block_align):
+    def test_zero_block_align_partial_sample_named(self, tmp_path, fmt, bits, channels, size, block_align):
         path = tmp_path / "ragged.wav"
-        path.write_bytes(raw_wav_bytes(b"\x00" * size, fmt=fmt, bits=bits, block_align=block_align))
+        payload = b"\x00" * size
+        path.write_bytes(raw_wav_bytes(payload, fmt=fmt, channels=channels, bits=bits, block_align=block_align))
         with pytest.raises(WavFormatError, match=f"nBlockAlign = {block_align}"):
             read_wav(path)
 

@@ -7,9 +7,11 @@ import pytest
 
 from clickdetect import spectral
 from clickdetect.audio_io import SampleBuffer
+from clickdetect.detector import ClickDetector
 from clickdetect.soundscape import SimConfig, pink_noise
 from clickdetect.spectral import (
     _STFT_BLOCK_SAMPLES,
+    Band,
     Spectrogram,
     _hann,
     band_powers,
@@ -230,7 +232,9 @@ class TestFrameBandPowers:
     def test_blocked_matches_full_power_matmul(self, rate, window_len, rng):
         hop = window_len // 4
         block = _STFT_BLOCK_SAMPLES // window_len
-        bands = third_octave_bands(100, rate / 2)
+        bin_hz = rate / window_len
+        # Edges on bin centers: the lower edge's bin belongs, the upper edge's does not.
+        bands = third_octave_bands(100, rate / 2) + [Band(5 * bin_hz, 3 * bin_hz, 9 * bin_hz)]
         w = _hann(window_len)
         norm = window_len * float(np.sum(w**2))
         for n_frames in (1, 2, block - 1, block, block + 1, 2 * block + 1):
@@ -238,11 +242,21 @@ class TestFrameBandPowers:
             spec = stft(SampleBuffer(x, rate), window_len, hop)
             assert spec.n_frames == n_frames
             freqs = spec.bin_frequencies_hz
+            power = power_matrix(spec)
             columns = np.zeros((spec.n_bins, len(bands)))
+            summed = np.zeros((n_frames, len(bands)))
             for i, band in enumerate(bands):
-                columns[(freqs >= band.lower_hz) & (freqs < band.upper_hz), i] = 1.0
+                members = np.flatnonzero((freqs >= band.lower_hz) & (freqs < band.upper_hz))
+                columns[members, i] = 1.0
+                if members.size:
+                    j0, j1 = members[0], members[-1] + 1
+                    assert members.size == j1 - j0
+                    summed[:, i] = np.add.reduceat(power[:, :j1], [j0], axis=1)[:, 0]
             blocked = frame_band_powers(spec, bands)
-            assert np.array_equal(blocked, power_matrix(spec) @ columns / norm)
+            # Bitwise: each band is the whole matrix's sum over its own bins.
+            assert np.array_equal(blocked, summed / norm)
+            # Band membership and normalisation, against the 0/1 band matrix.
+            np.testing.assert_allclose(blocked, power @ columns / norm, rtol=1e-12)
 
 
 def reference_pgm(power: np.ndarray, db_floor: float) -> bytes:
@@ -341,6 +355,10 @@ class TestWorkers:
     def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, rng, monkeypatch, rate, window_len):
         hop = window_len // 4
         bands = third_octave_bands(100, rate / 2)
+        detector = ClickDetector()
+        lo, hi = detector.tail_band_hz
+        burst = [i for i, b in enumerate(bands) if b.lower_hz >= detector.burst_low_hz]
+        gated = burst + [i for i, b in enumerate(bands) if lo <= b.center_hz <= hi and i not in burst]
         for n_frames in frame_counts(window_len):
             x = 0.01 * rng.standard_normal(window_len + hop * (n_frames - 1))
             x[x.size // 3] = 0.9  # a click, so pixels span the whole scale
@@ -350,6 +368,8 @@ class TestWorkers:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(spectral, "_usable_cpus", lambda: workers)
                 powers.append(frame_band_powers(spec, bands))
+                # Burst then tail bands, as the detector asks for them.
+                assert np.array_equal(frame_band_powers(spec, [bands[i] for i in gated]), powers[-1][:, gated])
                 path = tmp_path / f"{workers}.pgm"
                 spectrogram_image(spec, path, db_floor=-60.0)
                 images.append(path.read_bytes())
