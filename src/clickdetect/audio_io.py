@@ -9,9 +9,11 @@ at the point of mixing.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -26,6 +28,10 @@ DEFAULT_SAMPLE_RATE_HZ = 48000
 _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
+
+#: Bytes of the data chunk read and decoded at a time (whole frames are
+#: taken, so a little less for 3- and 6-byte frames).
+_PIECE_BYTES = 1 << 18
 
 
 class WavFormatError(ValueError):
@@ -80,11 +86,9 @@ class SampleBuffer:
         return self.samples.size / self.sample_rate_hz
 
 
-def _mono(frames: np.ndarray) -> np.ndarray:
-    """Average channels; linear, so mono(a + b) = mono(a) + mono(b)."""
-    if frames.ndim == 1:
-        return frames
-    return frames.mean(axis=1)
+def _mono(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Average the channels of [frames x channels]; linear, so mono(a + b) = mono(a) + mono(b)."""
+    return frames.mean(axis=1, out=out)
 
 
 def read_wav(path: str | Path) -> SampleBuffer:
@@ -93,7 +97,8 @@ def read_wav(path: str | Path) -> SampleBuffer:
     Accepts 16- or 24-bit integer PCM and 32-bit float, 1 or 2 channels.
     Integer samples are scaled by the type's full-scale value (2^15 or 2^23);
     float samples are clamped to [-1, 1], infinities included. Stereo is
-    averaged to mono.
+    averaged to mono. The file is never held whole: the data chunk is decoded
+    about 256 KiB at a time straight into the returned samples.
 
     Raises
     ------
@@ -105,34 +110,74 @@ def read_wav(path: str | Path) -> SampleBuffer:
         float data chunk that holds NaN.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    view = memoryview(raw)  # slices of a view share the bytes instead of copying them
-    if len(raw) < 12 or raw[:4] != b"RIFF":
-        raise WavFormatError(f"{path}: missing RIFF chunk id (got {raw[:4]!r})")
-    if raw[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: RIFF form type is {raw[8:12]!r}, expected b'WAVE'")
+    with path.open("rb") as f:
+        wav = _read_header(f, path)
+        frame_bytes = wav.n_channels * wav.bits // 8
+        per_piece = _PIECE_BYTES // frame_bytes
+        samples = np.empty(wav.data_bytes // frame_bytes)
+        piece = memoryview(bytearray(per_piece * frame_bytes))
+        f.seek(wav.data_start)
+        for start in range(0, samples.size, per_piece):
+            raw = piece[: min(per_piece, samples.size - start) * frame_bytes]
+            got = f.readinto(raw) or 0
+            if got != len(raw):  # the file shrank after the header scan
+                raise WavFormatError(
+                    f"{path}: data chunk ended after {start * frame_bytes + got} "
+                    f"of {wav.data_bytes} bytes"
+                )
+            _decode(raw, wav, samples[start : start + len(raw) // frame_bytes], path)
+    samples.flags.writeable = False  # nothing else holds it: SampleBuffer need not copy
+    return SampleBuffer(samples, wav.sample_rate_hz)
+
+
+@dataclass(frozen=True)
+class _WavLayout:
+    """What ``_read_header`` found: a checked format and the data chunk's place."""
+
+    format_tag: int
+    n_channels: int
+    sample_rate_hz: int
+    bits: int
+    data_start: int  # file offset of the data chunk's first byte
+    data_bytes: int  # a whole number of frames
+
+
+def _read_header(f: BinaryIO, path: Path) -> _WavLayout:
+    """Scan a WAV file's chunks by seeking from header to header, and check them.
+
+    Only chunk headers and the fmt chunk's first 26 bytes are read. The last
+    fmt and last data chunk win. A data chunk that runs past the end of the
+    file is an error; any other chunk that does ends the scan. The RIFF size
+    field is not read.
+    """
+    file_bytes = f.seek(0, os.SEEK_END)
+    f.seek(0)
+    head = f.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF":
+        raise WavFormatError(f"{path}: missing RIFF chunk id (got {head[:4]!r})")
+    if head[8:12] != b"WAVE":
+        raise WavFormatError(f"{path}: RIFF form type is {head[8:12]!r}, expected b'WAVE'")
 
     fmt = None
     data = None
     pos = 12
-    while pos + 8 <= len(raw):
-        cid = raw[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = view[pos + 8 : pos + 8 + size]
+    while pos + 8 <= file_bytes:
+        f.seek(pos)
+        cid, size = struct.unpack("<4sI", f.read(8))
+        present = min(size, file_bytes - pos - 8)
         if cid == b"fmt ":
-            if len(body) < 16:
-                raise WavFormatError(f"{path}: fmt chunk truncated ({len(body)} bytes)")
+            if present < 16:
+                raise WavFormatError(f"{path}: fmt chunk truncated ({present} bytes)")
+            body = f.read(min(present, 26))
             fmt = struct.unpack_from("<HHIIHH", body, 0)
             if fmt[0] == _FMT_EXTENSIBLE and len(body) >= 26:
                 # wFormatTag lives in the first two bytes of the SubFormat GUID
                 (subformat,) = struct.unpack_from("<H", body, 24)
                 fmt = (subformat,) + fmt[1:]
         elif cid == b"data":
-            if len(body) < size:
-                raise WavFormatError(
-                    f"{path}: data chunk declares {size} bytes but only {len(body)} present"
-                )
-            data = body
+            if present < size:
+                raise WavFormatError(f"{path}: data chunk declares {size} bytes but only {present} present")
+            data = (pos + 8, size)
         pos += 8 + size + (size & 1)
 
     if fmt is None:
@@ -152,55 +197,67 @@ def read_wav(path: str | Path) -> SampleBuffer:
         raise WavFormatError(f"{path}: wBitsPerSample = {bits} for float data, only 32 supported")
     if format_tag == _FMT_PCM and bits not in (16, 24):
         raise WavFormatError(f"{path}: wBitsPerSample = {bits}, only 16/24-bit PCM or 32-bit float")
+    data_start, data_bytes = data
     if block_align:
-        data = data[: len(data) - len(data) % block_align]
-    if len(data) % (n_channels * bits // 8):
+        data_bytes -= data_bytes % block_align
+    if data_bytes % (n_channels * bits // 8):
         raise WavFormatError(
-            f"{path}: nBlockAlign = {block_align} and the {len(data)}-byte data chunk is not a whole "
+            f"{path}: nBlockAlign = {block_align} and the {data_bytes}-byte data chunk is not a whole "
             f"number of {n_channels}-channel {bits}-bit frames"
         )
+    return _WavLayout(format_tag, n_channels, sample_rate, bits, data_start, data_bytes)
 
-    if format_tag == _FMT_IEEE_FLOAT:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-        if samples.size and math.isnan(samples.max()):  # max propagates NaN
+
+def _decode(raw: memoryview, wav: _WavLayout, out: np.ndarray, path: Path) -> None:
+    """Decode whole frames of data-chunk bytes into ``out``, one mono sample per frame.
+
+    Every step is exact or elementwise, so a sample's bits do not depend on
+    where the pieces are cut.
+    """
+    dest = out if wav.n_channels == 1 else np.empty(2 * out.size)
+    if wav.format_tag == _FMT_IEEE_FLOAT:
+        floats = np.frombuffer(raw, dtype="<f4")
+        if floats.size and math.isnan(floats.max()):  # max propagates NaN
             raise WavFormatError(f"{path}: data chunk holds NaN samples")
-        samples = np.clip(samples, -1.0, 1.0)
-    elif bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
-        samples /= 32768.0
+        # Widening float32 to float64 is exact, so clipping before it gives the same bits.
+        np.clip(floats, -1.0, 1.0, out=dest)
+    elif wav.bits == 16:
+        # 1/32768 is a power of two: the product is the quotient, bit for bit.
+        np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / 32768.0, out=dest)
     else:  # 24-bit PCM
-        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.uint32)
+        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.uint32)
         u = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
         signed = u.astype(np.int32)
         signed[signed >= 1 << 23] -= 1 << 24
-        samples = signed.astype(np.float64) / float(1 << 23)
-
-    if n_channels == 2:
-        samples = _mono(samples.reshape(-1, 2))
-    samples.flags.writeable = False  # nothing else holds it: SampleBuffer need not copy
-    return SampleBuffer(samples, int(sample_rate))
+        np.divide(signed, float(1 << 23), out=dest)
+    if wav.n_channels == 2:
+        _mono(dest.reshape(-1, 2), out=out)
 
 
 def write_wav(buffer: SampleBuffer, path: str | Path) -> None:
-    """Write a buffer as 16-bit PCM mono WAV.
+    """Write a buffer as 16-bit PCM mono WAV, encoding 256 KiB of it at a time.
 
     Round trip error is at most one 16-bit LSB (1/32768) per sample.
     """
-    q = np.clip(np.rint(buffer.samples * 32768.0), -32768, 32767).astype("<i2")
-    payload = q.tobytes()
+    samples = buffer.samples
     header = b"".join(
         [
             b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
+            struct.pack("<I", 36 + 2 * samples.size),
             b"WAVE",
             b"fmt ",
             struct.pack("<IHHIIHH", 16, _FMT_PCM, 1, buffer.sample_rate_hz,
                         buffer.sample_rate_hz * 2, 2, 16),
             b"data",
-            struct.pack("<I", len(payload)),
+            struct.pack("<I", 2 * samples.size),
         ]
     )
-    Path(path).write_bytes(header + payload)
+    per_piece = _PIECE_BYTES // 2
+    with Path(path).open("wb") as f:
+        f.write(header)
+        for start in range(0, samples.size, per_piece):
+            x = samples[start : start + per_piece] * 32768.0
+            f.write(np.clip(np.rint(x, out=x), -32768, 32767, out=x).astype("<i2"))
 
 
 def slice_buffer(buffer: SampleBuffer, start_s: float, end_s: float) -> SampleBuffer:

@@ -1,12 +1,24 @@
+import io
 import math
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clickdetect.audio_io import SampleBuffer, WavFormatError, _mono, read_wav, slice_buffer, write_wav
+from clickdetect.audio_io import (
+    _PIECE_BYTES,
+    SampleBuffer,
+    WavFormatError,
+    _mono,
+    read_wav,
+    slice_buffer,
+    write_wav,
+)
 
 from conftest import RATE, chunk, fmt_body, raw_wav_bytes, riff, tone
+from wav_reference import outcome, read_wav_whole
 
 FMT_PCM16 = chunk(b"fmt ", fmt_body(1, 1, RATE, 2, 16))
 DATA = chunk(b"data", b"\x00" * 8)
@@ -198,7 +210,82 @@ class TestReadWav:
         np.testing.assert_allclose(read_wav(path).samples, [0.5, -0.5])
 
 
+class TestReadInPieces:
+    """The data chunk is decoded ``_PIECE_BYTES`` at a time, never held whole."""
+
+    FORMATS = [
+        pytest.param(1, 16, id="pcm16"),
+        pytest.param(1, 24, id="pcm24"),
+        pytest.param(3, 32, id="float32"),
+    ]
+
+    @staticmethod
+    def payload(rng, fmt, bits, frames, channels):
+        if fmt == 3:
+            values = rng.uniform(-1.5, 1.5, frames * channels).astype("<f4")
+            values[::997] = np.inf
+            values[1::997] = -np.inf
+            return values
+        return rng.integers(0, 256, frames * channels * bits // 8, dtype=np.uint8)
+
+    @pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
+    @pytest.mark.parametrize("fmt, bits", FORMATS)
+    def test_piece_boundaries_match_whole_file_reference(self, tmp_path, rng, fmt, bits, channels):
+        frame_bytes = channels * bits // 8
+        frames = 3 * (_PIECE_BYTES // frame_bytes) + 7  # three whole pieces and a short one
+        path = tmp_path / "long.wav"
+        payload = self.payload(rng, fmt, bits, frames, channels).tobytes()
+        path.write_bytes(raw_wav_bytes(payload, fmt=fmt, channels=channels, bits=bits))
+        got = outcome(read_wav, path)
+        assert got == outcome(read_wav_whole, path)
+        assert got[0] == RATE and len(got[1]) == 8 * frames
+
+    @pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
+    def test_nan_in_last_piece_named(self, tmp_path, rng, channels):
+        frames = 3 * (_PIECE_BYTES // (4 * channels)) + 7
+        values = self.payload(rng, 3, 32, frames, channels)
+        values[-2] = np.nan
+        path = tmp_path / "nan.wav"
+        path.write_bytes(raw_wav_bytes(values.tobytes(), fmt=3, channels=channels, bits=32))
+        with pytest.raises(WavFormatError, match="data chunk holds NaN"):
+            read_wav(path)
+
+    def test_short_read_names_data_chunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "shrunk.wav"
+        write_wav(tone(440.0, 3.0, amplitude=0.5), path)
+        stop = 44 + _PIECE_BYTES + 1000  # a full first piece, then 1000 bytes of the second
+
+        class StopsEarly(io.BufferedReader):
+            """A file that ends at ``stop`` for ``readinto``, as if it shrank after the header scan."""
+
+            def readinto(self, b):
+                return super().readinto(memoryview(b)[: max(0, stop - self.tell())])
+
+        monkeypatch.setattr(Path, "open", lambda self, mode="r": StopsEarly(io.FileIO(self, mode)))
+        with pytest.raises(WavFormatError, match=f"data chunk ended after {_PIECE_BYTES + 1000} of {6 * RATE} bytes"):
+            read_wav(path)
+
+    def test_sixty_seconds_read_without_a_copy_of_the_file(self, tmp_path):
+        path = tmp_path / "minute.wav"
+        write_wav(tone(440.0, 60.0, amplitude=0.5), path)
+        tracemalloc.start()
+        try:
+            buffer = read_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(buffer) == 60 * RATE
+        assert peak - buffer.samples.nbytes <= 1 << 20
+
+
 class TestWriteWav:
+    def test_pieces_encode_like_one_whole_array(self, tmp_path, rng):
+        samples = rng.uniform(-1.0, 1.0, 3 * (_PIECE_BYTES // 2) + 7)
+        samples[:4] = [1.0, -1.0, 0.5 / 32768, -1.5 / 32768]  # clipped, and ties rounded to even
+        path = tmp_path / "pieces.wav"
+        write_wav(SampleBuffer(samples, RATE), path)
+        q = np.clip(np.rint(samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+        assert path.read_bytes() == raw_wav_bytes(q)
     def test_round_trip_quantization_bound(self, tmp_path):
         buf = tone(1000.0, 1.0, amplitude=0.25)
         path = tmp_path / "sine.wav"

@@ -1,4 +1,5 @@
-"""Malformed WAV input: ``read_wav`` raises ``WavFormatError`` and nothing else."""
+"""Malformed WAV input: ``read_wav`` raises ``WavFormatError`` and nothing else,
+and reads every file as the whole-file reference decoder does."""
 
 import math
 import struct
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from clickdetect.audio_io import WavFormatError, read_wav
 
 from conftest import chunk, fmt_body, riff
+from wav_reference import outcome, read_wav_whole
 
 
 @st.composite
@@ -55,3 +57,12 @@ def test_read_wav_raises_only_wav_format_error(tmp_path_factory, raw):
         read_wav(path)
     except WavFormatError:
         pass
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(raw=wav_files())
+def test_read_wav_matches_whole_file_reference(tmp_path_factory, raw):
+    """The same rate and bitwise-equal samples, or the same error text."""
+    path = tmp_path_factory.getbasetemp() / "differential.wav"
+    path.write_bytes(raw)
+    assert outcome(read_wav, path) == outcome(read_wav_whole, path)
