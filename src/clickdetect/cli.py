@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .audio_io import WavFormatError, read_wav
 from .detector import ClickDetector
-from .evaluation import depth_sweep, run_benchmark
+from .evaluation import _read_manifest, depth_sweep, run_benchmark
 from .soundscape import ShroudModel, SimConfig, _write_clip
-from .spectral import _usable_cpus, band_powers, spectrogram_image, stft, third_octave_bands
+from .spectral import band_powers, spectrogram_image, stft, third_octave_bands
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -60,16 +60,6 @@ def _parse_depths(text: str) -> tuple[float, ...]:
         if not 0.0 <= depth <= deepest:  # NaN fails too
             raise argparse.ArgumentTypeError(f"each depth must lie in [0, {deepest}] m, got {depth}")
     return depths
-
-
-def _parse_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number of processes >= 1, got {text!r}")
-    return jobs
 
 
 _DETECTOR_KEYS = tuple(field.name for field in fields(ClickDetector))
@@ -161,11 +151,11 @@ def cmd_simulate(args) -> int:
     clicks = settings.pop("clicks")
     cfg = SimConfig(**settings)
     out_dir = Path(args.out_dir)
-    entry = _write_clip(out_dir, "mix.wav", "truth.csv", cfg, clicks)
-
     manifest_path = out_dir / "manifest.json"
-    entries = json.loads(manifest_path.read_text()) if manifest_path.exists() else []
-    entries = [e for e in entries if e.get("wav_path") != "mix.wav"] + [entry]
+    # Checked before the clip is written, so a bad manifest leaves the directory as it was.
+    entries = _read_manifest(manifest_path) if manifest_path.exists() else []
+    entry = _write_clip(out_dir, "mix.wav", "truth.csv", cfg, clicks)
+    entries = [e for e in entries if e["wav_path"] != "mix.wav"] + [entry]
     manifest_path.write_text(json.dumps(entries, indent=1))
     print(f"wrote {out_dir / 'mix.wav'} ({cfg.duration_s:g} s, {clicks} clicks, {cfg.target_snr_db:+g} dB)")
     return EXIT_OK
@@ -198,7 +188,7 @@ def cmd_depth_sweep(args) -> int:
 
 def cmd_evaluate(args) -> int:
     detector = ClickDetector(**_settings(args, _DETECTOR_KEYS))
-    result = run_benchmark(args.manifest, detector, jobs=args.jobs)
+    result = run_benchmark(args.manifest, detector)
     print(result.format_text())
     if args.json:
         Path(args.json).write_text(json.dumps(result.to_json_dict(), indent=1))
@@ -251,8 +241,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", parents=[common], help="score detections over a corpus manifest")
     p.add_argument("manifest")
-    p.add_argument("--jobs", type=_parse_jobs, default=_usable_cpus(),
-                   help="clips evaluated in parallel processes (default: the CPUs this process may use)")
     p.add_argument("--json", help="also write the report as JSON to this path")
     p.set_defaults(func=cmd_evaluate)
     return parser

@@ -12,7 +12,7 @@ detection invariant to overall gain. A small absolute floor
 (``silence_floor_db``, re full-scale power) keeps the relative thresholds
 meaningful on digital silence.
 
-All 14 settings, the signature's and the analysis front end's, are the
+All 13 settings, the signature's and the analysis front end's, are the
 fields of one frozen ``ClickDetector``, checked when it is built; every
 detection function takes that value.
 """
@@ -27,7 +27,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .audio_io import SampleBuffer
-from .spectral import Spectrogram, _bands_within_nyquist, frame_band_powers, stft, third_octave_bands
+from .spectral import Spectrogram, _bands_within_nyquist, _check_framing, frame_band_powers, stft, third_octave_bands
 
 __all__ = [
     "DetectionEvent",
@@ -67,14 +67,14 @@ def _require_power(settings, names: Sequence[str]) -> None:
 
 @dataclass(frozen=True)
 class ClickDetector:
-    """The detector's 14 settings, checked once at construction, and `predict`.
+    """The detector's 13 settings, checked once at construction, and `predict`.
 
     Durations are in seconds, thresholds in dB over the rolling background.
     ``silence_floor_db`` (re full-scale power, per band) is the absolute floor
     substituted when the background estimate is quieter than it. The rest
-    set the analysis: the background and merge windows, the STFT's window
-    and hop, and the lowest band's center. The value is frozen; make a
-    variant with ``dataclasses.replace``, which checks it again.
+    set the analysis: the background and merge windows and the STFT's window
+    and hop. The value is frozen; make a variant with ``dataclasses.replace``,
+    which checks it again.
     """
 
     burst_min_s: float = 0.02
@@ -90,7 +90,6 @@ class ClickDetector:
     merge_window_s: float = 0.5
     window_len: int = 1024
     hop: int = 256
-    band_min_hz: float = 100.0
 
     def __post_init__(self) -> None:
         try:
@@ -106,7 +105,7 @@ class ClickDetector:
             raise ValueError(f"need 0 < burst_min_s < burst_max_s, got ({self.burst_min_s}, {self.burst_max_s})")
         if not 0.0 < self.tail_min_s < self.tail_max_s:
             raise ValueError(f"need 0 < tail_min_s < tail_max_s, got ({self.tail_min_s}, {self.tail_max_s})")
-        for name in ("onset_threshold_db", "tail_threshold_db", "burst_low_hz", "merge_window_s", "band_min_hz"):
+        for name in ("onset_threshold_db", "tail_threshold_db", "burst_low_hz", "merge_window_s"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < lo < hi:
@@ -119,6 +118,7 @@ class ClickDetector:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_framing(self.window_len, self.hop)
 
     def predict(self, buffer: SampleBuffer) -> list[DetectionEvent]:
         return detect_events(stft(buffer, self.window_len, self.hop), self)
@@ -287,12 +287,14 @@ def _background_and_flags(
 def _gated_band_power(spec: Spectrogram, detector: ClickDetector) -> tuple[np.ndarray, int]:
     """Per-frame power of the gated bands only: the burst bands, then the tail's.
 
-    The bands are the 1/3-octave grid from ``band_min_hz`` up to Nyquist.
-    Returns that matrix and its number of burst columns. Raises if the grid
-    has no burst band or no tail band for ``detector``.
+    The bands are the 1/3-octave grid from 100 Hz up to Nyquist. The tail
+    bands are picked by center, so where the grid starts matters only to a
+    ``tail_band_hz`` reaching below it. Returns that matrix and its number of
+    burst columns. Raises if the grid has no burst band or no tail band for
+    ``detector``.
     """
     rate = spec.sample_rate_hz
-    bands = _bands_within_nyquist(third_octave_bands(detector.band_min_hz, rate / 2.0), rate)
+    bands = _bands_within_nyquist(third_octave_bands(100.0, rate / 2.0), rate)
     # Burst bands must lie entirely above burst_low_hz so a band-limited tail
     # cannot keep the burst gate alive. Tail bands are selected by center
     # (closed interval): the grid's "8 kHz band" is centered at 8000 Hz, and

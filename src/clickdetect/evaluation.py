@@ -20,6 +20,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from . import spectral
 from .audio_io import read_wav
 from .detector import ClickDetector, DetectionEvent
 from .soundscape import GroundTruth, ShroudModel, SimConfig, apply_shroud, pink_noise, read_truth_csv
@@ -178,39 +179,29 @@ def _pin_to_share(shares) -> None:
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
-    """A pool of ``workers`` processes, each kept on its own share of this process's CPUs.
+    """A pool of ``workers`` processes, no more than this process's CPUs, each
+    kept on its own share of them.
 
     A clip's band powers use every CPU their process may run on, so workers
-    that all kept every CPU would contend for them. With more workers than
-    CPUs, each gets one CPU, round robin.
+    that all kept every CPU would contend for them.
     """
     if not hasattr(os, "sched_setaffinity"):  # no affinity mask on this platform
         return ProcessPoolExecutor(workers)
     cpus = sorted(os.sched_getaffinity(0))
     shares = multiprocessing.SimpleQueue()
     for k in range(workers):
-        shares.put(cpus[k % len(cpus) :: workers])
+        shares.put(cpus[k::workers])
     return ProcessPoolExecutor(workers, initializer=_pin_to_share, initargs=(shares,))
 
 
-def run_benchmark(
-    manifest_path: str | Path,
-    detector: ClickDetector = ClickDetector(),
-    jobs: int = 1,
-) -> BenchmarkResult:
-    """Detect over every clip in the manifest and aggregate the counts.
-
-    The manifest is a JSON list of {wav_path, truth_path, snr_db, seed} with
-    paths relative to the manifest file. Clips are independent; ``jobs`` > 1
-    evaluates them in parallel processes, aggregation stays in manifest order.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    manifest_path = Path(manifest_path)
-    entries = json.loads(manifest_path.read_text())
+def _read_manifest(path: Path) -> list[dict]:
+    """The entries of the manifest at ``path``, each checked; errors name the file."""
+    try:
+        entries = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(entries, list):
-        raise ValueError(f"{manifest_path}: manifest must be a JSON list")
-    # Check every entry before any clip runs, so a bad one cannot waste a run.
+        raise ValueError(f"{path}: manifest must be a JSON list")
     required = {
         "wav_path": (str, "a string"),
         "truth_path": (str, "a string"),
@@ -218,18 +209,33 @@ def run_benchmark(
     }
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise ValueError(f"{manifest_path}: entry {i} is not a JSON object")
+            raise ValueError(f"{path}: entry {i} is not a JSON object")
         for key, (kind, what) in required.items():
             value = entry.get(key)
             if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(f"{manifest_path}: entry {i}: {key!r} is missing or not {what}")
+                raise ValueError(f"{path}: entry {i}: {key!r} is missing or not {what}")
+    return entries
+
+
+def run_benchmark(manifest_path: str | Path, detector: ClickDetector = ClickDetector()) -> BenchmarkResult:
+    """Detect over every clip in the manifest and aggregate the counts.
+
+    The manifest is a JSON list of {wav_path, truth_path, snr_db, seed} with
+    paths relative to the manifest file; every entry is checked before any
+    clip runs. Clips are independent: they are evaluated in one process per
+    CPU this process may use, at most one per clip, and aggregated in
+    manifest order.
+    """
+    manifest_path = Path(manifest_path)
+    entries = _read_manifest(manifest_path)
     base = manifest_path.parent
     tasks = [(str(base / entry["wav_path"]), str(base / entry["truth_path"]), detector) for entry in entries]
 
     started = time.perf_counter()
-    if jobs > 1 and len(tasks) > 1:
-        # A fork pool starts all its workers at the first submit; no more than there are clips.
-        with _pool(min(jobs, len(tasks))) as pool:
+    # A fork pool starts all its workers at the first submit; no more than there are clips.
+    workers = min(spectral._usable_cpus(), len(tasks))
+    if workers > 1:
+        with _pool(workers) as pool:
             counts = list(pool.map(_evaluate_clip, tasks, chunksize=1))
     else:
         counts = [_evaluate_clip(task) for task in tasks]

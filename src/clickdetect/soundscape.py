@@ -323,7 +323,8 @@ def write_truth_csv(truth: GroundTruth, path: str | Path) -> None:
 
 
 def read_truth_csv(path: str | Path) -> GroundTruth:
-    """Read a ``time_s,label`` CSV; errors name the file, and a bad row its line."""
+    """Read a ``time_s,label`` CSV of connection clicks; errors name the file,
+    and a bad row its line."""
     events = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -335,6 +336,8 @@ def read_truth_csv(path: str | Path) -> GroundTruth:
                 t = float(text)
                 if not math.isfinite(t):
                     raise ValueError(f"time_s must be finite, got {text!r}")
+                if label != "connection_click":
+                    raise ValueError(f"label must be 'connection_click', got {label!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
             events.append((t, label))
@@ -368,8 +371,6 @@ def generate_corpus(
     clips_per_snr: int = 20,
     duration_s: float = 60.0,
     clicks_per_clip: int = 4,
-    transient_rate_hz: float = SimConfig.transient_rate_hz,
-    sample_rate_hz: int = SimConfig.sample_rate_hz,
     base_seed: int = 173,
 ) -> Path:
     """Write the benchmark corpus (wav + truth csv per clip) and its manifest.
@@ -382,13 +383,7 @@ def generate_corpus(
     manifest = []
     snrs = [snr for snr in snr_values_db for _ in range(clips_per_snr)]
     for index, snr in enumerate(snrs):
-        cfg = SimConfig(
-            sample_rate_hz=sample_rate_hz,
-            seed=base_seed + index,
-            duration_s=duration_s,
-            transient_rate_hz=transient_rate_hz,
-            target_snr_db=snr,
-        )
+        cfg = SimConfig(seed=base_seed + index, duration_s=duration_s, target_snr_db=snr)
         manifest.append(
             _write_clip(out_dir, f"clip_{index:03d}.wav", f"clip_{index:03d}.csv", cfg, clicks_per_clip)
         )

@@ -46,6 +46,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _check_framing(window_len: int, hop: int) -> None:
+    """Raise unless ``window_len`` is a power of two >= 64 and ``0 < hop <= window_len``."""
+    if window_len < 64 or window_len & (window_len - 1):
+        raise ValueError(f"window_len must be a power of two >= 64, got {window_len}")
+    if not 0 < hop <= window_len:
+        raise ValueError(f"hop must be in (0, window_len], got {hop}")
+
+
 class Band(NamedTuple):
     """One 1/3-octave band: center and half-open [lower, upper) edge pair."""
 
@@ -71,11 +79,8 @@ class Spectrogram:
     window_len: int
 
     def __post_init__(self) -> None:
-        window_len, hop = self.window_len, self.hop
-        if window_len < 64 or window_len & (window_len - 1):
-            raise ValueError(f"window_len must be a power of two >= 64, got {window_len}")
-        if not 0 < hop <= window_len:
-            raise ValueError(f"hop must be in (0, window_len], got {hop}")
+        window_len = self.window_len
+        _check_framing(window_len, self.hop)
         if len(self.buffer) < window_len:
             raise ValueError(f"buffer has {len(self.buffer)} samples, shorter than one {window_len}-sample window")
 
@@ -175,12 +180,13 @@ def _onesided_power(frames: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return power
 
 
-def stft(buffer: SampleBuffer, window_len: int = 1024, hop: int = 256) -> Spectrogram:
+def stft(buffer: SampleBuffer, window_len: int, hop: int) -> Spectrogram:
     """Hann-windowed power spectrogram of ``buffer``, sharing its samples.
 
     ``n_frames = floor((len - window_len) / hop) + 1``; trailing samples that
-    do not fill a window are dropped. Defaults give ~21.3 ms windows with
-    ~5.3 ms hops at 48 kHz, enough temporal resolution to gate a 50 ms burst.
+    do not fill a window are dropped. ``ClickDetector``'s 1024 and 256 give
+    ~21.3 ms windows with ~5.3 ms hops at 48 kHz, enough temporal resolution
+    to gate a 50 ms burst.
     No transform runs here: ``Spectrogram`` checks the arguments, and the
     power is computed block by block when it is used.
     """

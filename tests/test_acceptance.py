@@ -46,7 +46,7 @@ def corpus_manifest(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def benchmark_result(corpus_manifest):
-    return run_benchmark(corpus_manifest, jobs=2)
+    return run_benchmark(corpus_manifest)
 
 
 class TestCriterion1Effectiveness:
@@ -124,14 +124,14 @@ class TestCriterion4SpectralCorrectness:
             r = np.random.default_rng(seed)
             duration = float(r.uniform(4.0, 8.0))
             x = 0.05 * r.standard_normal(round(duration * RATE))
-            spec = stft(SampleBuffer(x, RATE))
+            spec = stft(SampleBuffer(x, RATE), 1024, 256)
             err = abs(blocked_power(spec).sum() * correction / (x @ x) - 1)
             worst = max(worst, err)
         self.results["parseval_pct"] = worst * 100
         assert worst < 0.01
 
     def test_sinusoid_peak_bin_exact(self):
-        spec = stft(tone(1000.0, 0.5))
+        spec = stft(tone(1000.0, 0.5), 1024, 256)
         assert (blocked_power(spec).argmax(axis=1) == 21).all()
         self.results["peak_bin"] = 21
 
@@ -260,7 +260,7 @@ class TestCriterion8IoFidelity:
 
     def test_pgm_dimensions_exact(self, tmp_path):
         r = np.random.default_rng(81)
-        spec = stft(SampleBuffer(0.1 * r.standard_normal(RATE), RATE))
+        spec = stft(SampleBuffer(0.1 * r.standard_normal(RATE), RATE), 1024, 256)
         path = tmp_path / "image.pgm"
         spectrogram_image(spec, path)
         magic, dims, _, pixels = path.read_bytes().split(b"\n", 3)

@@ -12,7 +12,6 @@ from clickdetect.audio_io import SampleBuffer, write_wav
 from clickdetect.cli import _DEFAULTS, _DETECTOR_KEYS, _SIM_KEYS, CONFIG_SPEC, _settings, build_parser, main
 from clickdetect.detector import ClickDetector
 from clickdetect.soundscape import ShroudModel, SimConfig, read_truth_csv
-from clickdetect.spectral import _usable_cpus
 
 from conftest import RATE, raw_wav_bytes, tone
 
@@ -42,6 +41,12 @@ class TestDetect:
     def test_bad_value_is_checked_before_the_input_is_read(self, tmp_path, capsys):
         assert run("detect", str(tmp_path / "absent.wav"), "--set", "onset_threshold_db=-1") == 4
         assert "onset_threshold_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["window_len=1000", "window_len=32", "hop=0", "hop=4096"])
+    def test_bad_framing_is_checked_before_the_input_is_read(self, tmp_path, capsys, setting):
+        # The STFT's framing is a detector setting too, so it is checked before the missing input.
+        assert run("detect", str(tmp_path / "absent.wav"), "--set", setting) == 4
+        assert setting.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "header, field",
@@ -88,7 +93,6 @@ class TestDetect:
             ("burst_max_s", "inf"),
             ("tail_max_s", "inf"),
             ("silence_floor_db", "-inf"),
-            ("band_min_hz", "inf"),
             ("tail_band_hz", "1000,inf"),
             ("corner_hz", "inf"),
             ("attenuation_cap_db", "-inf"),
@@ -125,6 +129,20 @@ class TestDetect:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 12\n")
         assert run("detect", str(silence_wav), "--config", str(cfg)) == 3
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("detect", "in.wav", "--set", "band_min_hz=100"), "band_min_hz"),
+            (("evaluate", "m.json", "--jobs", "2"), "--jobs"),
+        ],
+        ids=["band_min_hz", "jobs"],
+    )
+    def test_removed_setting_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
+        # The band grid starts at 100 Hz and the pool has one process per CPU: neither is a setting.
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 3
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["dish_diameter_m=0.5", "gain_cap_db=20"])
     def test_removed_shroud_key_exits_3(self, tmp_path, setting):
@@ -169,7 +187,7 @@ class TestConfig:
         shroud_keys = ["attenuation_db", "corner_hz", "attenuation_cap_db"]
         detector_keys = [f.name for f in dataclasses.fields(ClickDetector)]
         assert list(CONFIG_SPEC) == [*detector_keys, *sim_keys, "clicks", *shroud_keys]
-        assert len(CONFIG_SPEC) == 23
+        assert len(CONFIG_SPEC) == 22
         for key in detector_keys:
             assert _DEFAULTS[key] == getattr(ClickDetector, key)
         for key in sim_keys:
@@ -254,6 +272,25 @@ class TestSimulate:
         for t in truth.times:
             assert any(abs(e["onset_s"] - t) <= 0.25 for e in clicks)
 
+    @pytest.mark.parametrize(
+        "manifest, named",
+        [
+            ('{"a": 1}', "JSON list"),
+            ("5", "JSON list"),
+            ("[{", "manifest.json"),
+            ('[{"wav_path": "mix.wav"}]', "'truth_path'"),
+        ],
+        ids=["object", "number", "not_json", "no_truth_path"],
+    )
+    def test_malformed_manifest_exits_4_writing_nothing(self, tmp_path, capsys, manifest, named):
+        # The manifest is read before the clip is written, so a bad one leaves the directory as it was.
+        (tmp_path / "manifest.json").write_text(manifest)
+        assert run("simulate", "--out-dir", str(tmp_path), "--clicks", "1", "--duration", "8") == 4
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and named in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+        assert (tmp_path / "manifest.json").read_text() == manifest
+
     def test_manifest_appends(self, tmp_path):
         assert run("simulate", "--out-dir", str(tmp_path / "one"), "--clicks", "1",
                    "--duration", "10", "--seed", "2") == 0
@@ -335,8 +372,7 @@ class TestEvaluateCommand:
         assert run("simulate", "--out-dir", str(sim), "--snr-db", "15",
                    "--clicks", "2", "--duration", "20", "--seed", "8") == 0
         json_out = tmp_path / "report.json"
-        assert run("evaluate", str(sim / "manifest.json"), "--jobs", "1",
-                   "--json", str(json_out)) == 0
+        assert run("evaluate", str(sim / "manifest.json"), "--json", str(json_out)) == 0
         text = capsys.readouterr().out
         assert "overall" in text
         blob = json.loads(json_out.read_text())
@@ -348,7 +384,7 @@ class TestEvaluateCommand:
         sim = tmp_path / "sim"
         assert run("simulate", "--out-dir", str(sim), "--clicks", "1", "--duration", "8", "--seed", "8") == 0
         (sim / "truth.csv").write_text("time_s,label\nnan,connection_click\n")
-        assert run("evaluate", str(sim / "manifest.json"), "--jobs", "1") == 4
+        assert run("evaluate", str(sim / "manifest.json")) == 4
         assert "truth.csv:2" in capsys.readouterr().err
 
     def test_missing_manifest_exits_2(self, tmp_path):
@@ -356,13 +392,9 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_3_naming_the_flag(self, tmp_path, capsys, jobs):
-        # Used to run serially and exit 0, even with no manifest to read.
+        # --jobs is gone: any value of it, a pool size below one too, is an unknown flag.
         assert run("evaluate", str(tmp_path / "nope.json"), "--jobs", jobs) == 3
         assert "--jobs" in capsys.readouterr().err
-
-    def test_jobs_default_is_the_usable_cpus(self):
-        # The affinity mask, not the machine's CPU count: a pinned run gets one process per CPU it may use.
-        assert build_parser().parse_args(["evaluate", "m.json"]).jobs == _usable_cpus()
 
     def test_malformed_manifest_exits_4(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"

@@ -86,10 +86,14 @@ class TestClickSignature:
             {"tail_band_hz": (1000.0, 4000.0, 8000.0)},
             {"background_window_s": math.nan},
             {"background_window_s": math.inf},
-            {"band_min_hz": math.nan},
             {"onset_threshold_db": 4000.0},  # the power overflows
             {"tail_threshold_db": 3100.0},
             {"silence_floor_db": -5000.0},  # the power underflows to 0
+            # the STFT's framing, checked before any input is read
+            {"window_len": 1000},
+            {"window_len": 32},
+            {"hop": 0},
+            {"hop": 4096},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -125,13 +129,13 @@ def background(spec, bands):
 
 class TestEstimateBackground:
     def test_silence_background_zero(self):
-        spec = stft(SampleBuffer(np.zeros(3 * RATE), RATE))
+        spec = stft(SampleBuffer(np.zeros(3 * RATE), RATE), 1024, 256)
         bands = third_octave_bands(100, RATE / 2)
         assert not background(spec, bands).any()
 
     def test_stationary_white_tracks_band_mean(self, rng):
         x = SampleBuffer(0.0125 * rng.standard_normal(6 * RATE), RATE)
-        spec = stft(x)
+        spec = stft(x, 1024, 256)
         bands = [b for b in third_octave_bands(100, RATE / 2) if b.upper_hz <= RATE / 2]
         powers = frame_band_powers(spec, bands)
         start = round(1.0 / spec.frame_hop_s)
@@ -150,8 +154,8 @@ class TestEstimateBackground:
         burst[3 * RATE : 3 * RATE + seg.size] = seg
         bands = [b for b in third_octave_bands(100, RATE / 2) if b.upper_hz <= RATE / 2]
         picked = [i for i, b in enumerate(bands) if b.center_hz >= 630]
-        bg_clean = background(stft(SampleBuffer(base, RATE)), bands)
-        bg_hit = background(stft(SampleBuffer(base + burst, RATE)), bands)
+        bg_clean = background(stft(SampleBuffer(base, RATE), 1024, 256), bands)
+        bg_hit = background(stft(SampleBuffer(base + burst, RATE), 1024, 256), bands)
         hop_s = 256 / RATE
         t0, t1 = round(3.2 / hop_s), round(4.8 / hop_s)
         shift = 10 * np.log10(bg_hit[t0:t1][:, picked] / bg_clean[t0:t1][:, picked])
@@ -543,7 +547,7 @@ class TestClickDetectorEstimator:
 
     def test_predict_never_builds_the_power_matrix(self, rng):
         buf = SampleBuffer(0.05 * rng.standard_normal(120 * RATE), RATE)
-        spec = stft(buf)
+        spec = stft(buf, 1024, 256)
         power_bytes = spec.n_frames * spec.n_bins * 8  # 92 MB
         tracemalloc.start()
         try:

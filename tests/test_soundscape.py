@@ -93,6 +93,9 @@ class TestGroundTruth:
             ("abc,connection_click", "could not convert"),
             ("7.0", "not enough values"),
             ("7.0,connection_click,extra", "too many values"),
+            # every truth row is a click to find, so no other label may pass as one
+            ("5.0,frobnicate", "label must be 'connection_click', got 'frobnicate'"),
+            ("5.0,other_transient", "label must be 'connection_click'"),
         ],
     )
     def test_csv_bad_row_names_file_and_line(self, tmp_path, row, why):

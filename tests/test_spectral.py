@@ -48,7 +48,7 @@ class TestStft:
         np.testing.assert_allclose(power[0], oracle, rtol=1e-8, atol=1e-9)
 
     def test_zero_buffer_gives_zero_power(self):
-        spec = stft(SampleBuffer(np.zeros(4096), RATE))
+        spec = stft(SampleBuffer(np.zeros(4096), RATE), 1024, 256)
         assert not blocked_power(spec).any()
 
     def test_frame_count_formula(self):
@@ -61,14 +61,14 @@ class TestStft:
         for seed in range(5):
             r = np.random.default_rng(seed)
             x = 0.05 * r.standard_normal(6 * RATE)
-            spec = stft(SampleBuffer(x, RATE))
+            spec = stft(SampleBuffer(x, RATE), 1024, 256)
             estimate = blocked_power(spec).sum() * correction
             assert abs(estimate / (x @ x) - 1) < 0.01
 
     def test_deterministic(self, rng):
         x = SampleBuffer(0.1 * rng.standard_normal(RATE), RATE)
-        a = blocked_power(stft(x))
-        b = blocked_power(stft(x))
+        a = blocked_power(stft(x, 1024, 256))
+        b = blocked_power(stft(x, 1024, 256))
         assert (a == b).all()
 
     def test_blocked_transform_matches_one_shot(self, rng, monkeypatch):
@@ -110,7 +110,7 @@ class TestStft:
 
     def test_shares_buffer_samples_and_builds_power_lazily(self, rng):
         buf = SampleBuffer(0.1 * rng.standard_normal(RATE), RATE)
-        spec = stft(buf)
+        spec = stft(buf, 1024, 256)
         assert spec.buffer is buf
         assert spec.sample_rate_hz == RATE
         frame_band_powers(spec, third_octave_bands(100, 20000))
@@ -222,7 +222,7 @@ class TestFrameBandPowers:
         sigma = 0.05
         x = SampleBuffer(sigma * rng.standard_normal(4 * RATE), RATE)
         bands = third_octave_bands(100, 20000)
-        fbp = frame_band_powers(stft(x), bands)
+        fbp = frame_band_powers(stft(x, 1024, 256), bands)
         total = fbp.sum(axis=1).mean()
         covered = (bands[-1].upper_hz - bands[0].lower_hz) / (RATE / 2)
         assert total == pytest.approx(sigma**2 * covered, rel=0.05)
@@ -282,7 +282,7 @@ def parse_pgm(data: bytes):
 
 class TestSpectrogramImage:
     def test_zero_spectrogram_is_black(self, tmp_path):
-        spec = stft(SampleBuffer(np.zeros(8192), RATE))
+        spec = stft(SampleBuffer(np.zeros(8192), RATE), 1024, 256)
         path = tmp_path / "zero.pgm"
         spectrogram_image(spec, path)
         w, h, img = parse_pgm(path.read_bytes())
@@ -291,7 +291,7 @@ class TestSpectrogramImage:
 
     def test_single_saturated_cell(self, tmp_path, monkeypatch):
         # A spectrogram holds samples, so the crafted power is fed as its one block.
-        spec = stft(SampleBuffer(np.zeros(4096), RATE))
+        spec = stft(SampleBuffer(np.zeros(4096), RATE), 1024, 256)
         power = np.zeros((spec.n_frames, spec.n_bins))
         power[3, 5] = 1.0
         monkeypatch.setattr(Spectrogram, "_map_power_blocks", lambda self, fn: [fn(0, power)])
@@ -304,14 +304,14 @@ class TestSpectrogramImage:
         assert img.sum() == 255
 
     def test_dimensions_exact(self, tmp_path, rng):
-        spec = stft(SampleBuffer(0.1 * rng.standard_normal(RATE), RATE))
+        spec = stft(SampleBuffer(0.1 * rng.standard_normal(RATE), RATE), 1024, 256)
         path = tmp_path / "dims.pgm"
         spectrogram_image(spec, path, db_floor=-60)
         w, h, _ = parse_pgm(path.read_bytes())
         assert (w, h) == (spec.n_frames, spec.n_bins)
 
     def test_positive_floor_rejected(self, tmp_path):
-        spec = stft(SampleBuffer(np.zeros(4096), RATE))
+        spec = stft(SampleBuffer(np.zeros(4096), RATE), 1024, 256)
         for db_floor in (3.0, math.nan, -math.inf):
             with pytest.raises(ValueError, match="db_floor"):
                 spectrogram_image(spec, tmp_path / "x.pgm", db_floor=db_floor)
@@ -330,7 +330,7 @@ class TestSpectrogramImage:
             assert path.read_bytes() == reference_pgm(power_matrix(spec), -60.0)
 
     def test_memory_is_about_the_image(self, tmp_path, rng):
-        spec = stft(SampleBuffer(0.1 * rng.standard_normal(60 * RATE), RATE))
+        spec = stft(SampleBuffer(0.1 * rng.standard_normal(60 * RATE), RATE), 1024, 256)
         image_bytes = spec.n_frames * spec.n_bins
         tracemalloc.start()
         try:
@@ -378,14 +378,14 @@ class TestWorkers:
 
     def test_no_thread_outlives_the_image(self, tmp_path, rng, monkeypatch):
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 3)
-        spec = stft(SampleBuffer(0.1 * rng.standard_normal(10 * RATE), RATE))
+        spec = stft(SampleBuffer(0.1 * rng.standard_normal(10 * RATE), RATE), 1024, 256)
         before = threading.active_count()
         spectrogram_image(spec, tmp_path / "x.pgm")
         assert threading.active_count() == before
 
     def test_a_helper_threads_error_reaches_the_caller(self, rng, monkeypatch):
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
-        spec = stft(SampleBuffer(0.1 * rng.standard_normal(10 * RATE), RATE))
+        spec = stft(SampleBuffer(0.1 * rng.standard_normal(10 * RATE), RATE), 1024, 256)
         caller = threading.get_ident()
         helper_blocks = []
 
