@@ -20,7 +20,7 @@ from .audio_io import WavFormatError, read_wav
 from .detector import ClickDetector
 from .evaluation import _read_manifest, depth_sweep, run_benchmark
 from .soundscape import ShroudModel, SimConfig, _write_clip
-from .spectral import band_powers, spectrogram_image, stft, third_octave_bands
+from .spectral import _check_framing, band_powers, spectrogram_image, stft, third_octave_bands
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -163,6 +163,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrogram(args) -> int:
     settings = _settings(args, ("window_len", "hop"))
+    _check_framing(settings["window_len"], settings["hop"])  # before the input is read, as in detect
     buffer = read_wav(args.input)
     spec = stft(buffer, settings["window_len"], settings["hop"])
     spectrogram_image(spec, args.out, db_floor=args.floor_db)

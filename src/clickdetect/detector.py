@@ -189,27 +189,22 @@ def _burst_reference(med: np.ndarray, n_burst: int, detector: ClickDetector) -> 
     return np.maximum(_burst_total(med, n_burst), floor)
 
 
-def _background_at(band_power: np.ndarray, clean: np.ndarray, t: int, win: int, last_clean: int) -> np.ndarray:
-    """Frame t's background: the per-band median of the clean frames in
-    [t - win, t), averaging the middle pair (``0.5*(a+b)``) of an even count.
-
-    ``clean`` must be final before t. An empty window keeps the previous
-    frame's background, which is then the row of the latest clean frame (the
-    only clean frame in the last window that held one), or frame 0's own row
-    when no frame is clean yet. ``last_clean`` names that frame, -1 for none;
-    it is read only when the window is empty, so the latest clean frame before
-    any frame of [t - win, t] will do.
-    """
+def _clean_window(band_power: np.ndarray, clean: np.ndarray, t: int, win: int) -> tuple[np.ndarray, np.ndarray]:
+    """The clean frames of [t - win, t) in order, and their rows of
+    ``band_power`` sorted per band. ``clean`` must be final before t."""
     lo = max(0, t - win)
-    rows = band_power[lo + np.flatnonzero(clean[lo:t])]
-    n = len(rows)
+    rows = lo + np.flatnonzero(clean[lo:t])
+    return rows, np.sort(band_power[rows], axis=0)
+
+
+def _median(ranked: np.ndarray, empty_row: np.ndarray) -> np.ndarray:
+    """The per-band median of a sorted window, averaging the middle pair
+    (``0.5*(a+b)``) of an even count; ``empty_row`` when it holds no frame."""
+    n = len(ranked)
     if not n:
-        return band_power[max(last_clean, 0)]
+        return empty_row
     k = n // 2
-    if n & 1:
-        return np.partition(rows, k, axis=0)[k]
-    middle = np.partition(rows, (k - 1, k), axis=0)
-    return 0.5 * (middle[k - 1] + middle[k])
+    return ranked[k] if n & 1 else 0.5 * (ranked[k - 1] + ranked[k])
 
 
 def _background_and_flags(
@@ -217,24 +212,27 @@ def _background_and_flags(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame gate flags against a causal trailing-median background.
 
-    Frame t's background is ``_background_at``: the per-band median of the
-    clean (unflagged) frames in [t - win, t), so the events being detected
-    cannot inflate their own reference. ``band_power`` holds the burst bands'
-    ``n_burst`` columns, then the tail bands'. The burst gate compares the
-    frame's summed burst-band power with ``_burst_reference``; the tail gate
-    compares each tail band with its median.
+    Frame t's background is the per-band median of the clean (unflagged)
+    frames in [t - win, t), so the events being detected cannot inflate their
+    own reference. An empty window keeps the previous frame's background: the
+    row of the latest clean frame, or frame 0's own row when no frame is clean
+    yet. ``band_power`` holds the burst bands' ``n_burst`` columns, then the
+    tail bands'. The burst gate compares the frame's summed burst-band power
+    with ``_burst_reference``; the tail gate compares each tail band with its
+    median.
 
-    Most frames need only bounds on their median. The pass works in blocks of
-    ``min(_BLOCK, win)`` frames and sorts the clean window of the block's first
-    frame t0 once. Frame t0 + j has lost the ``evicted`` clean frames before
-    t0 - win + j, all of them known, and gained at most j of the block's own,
-    so each band's median lies between two ranks of that sorted window. Every
-    gate is monotone in each median (a floor, a positive ratio and a sum, all
-    rounded to nearest), so a verdict that holds at both bounds is exact. The
-    frames a bound cannot decide (a threshold between the bounds, too few
-    frames kept, or a window that may be empty) take ``_background_at`` in
-    order, once every earlier flag is final. Returns the burst and tail masks
-    and each frame's summed burst-band power.
+    The pass runs in blocks of at most ``min(_BLOCK, win)`` frames. A block
+    starts at a frame t0 whose earlier flags are all final and sorts t0's
+    clean window once (``_clean_window``), which gives t0's median exactly.
+    Frame t0 + j has lost the ``evicted`` clean frames before t0 - win + j,
+    all of them known, and gained at most j of the block's own, so each
+    band's median lies between two ranks of that sorted window. Every gate is
+    monotone in each median (a floor, a positive ratio and a sum, all rounded
+    to nearest), so a verdict that holds at both bounds is exact. The block
+    ends at the first frame whose verdicts differ at its bounds, or that has
+    none (too few frames kept, or a window that may be empty); the next block
+    starts there. Frame t0 is always settled, so every block advances.
+    Returns the burst and tail masks and each frame's summed burst-band power.
     """
     T = len(band_power)
     onset_ratio = 10.0 ** (detector.onset_threshold_db / 10.0)
@@ -242,8 +240,9 @@ def _background_and_flags(
     floor = 10.0 ** (detector.silence_floor_db / 10.0)
     burst_total = _burst_total(band_power, n_burst)
 
-    def gate(frames: np.ndarray, med: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # med holds one row of gated-band medians per frame
+    def gate(t0: int, med: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # med holds one row of gated-band medians per frame from t0 on
+        frames = slice(t0, t0 + len(med))
         burst = burst_total[frames] >= onset_ratio * _burst_reference(med, n_burst, detector)
         power = band_power[frames, n_burst:]
         tail = (power >= tail_ratio * np.maximum(med[:, n_burst:], floor)).any(axis=1)
@@ -252,35 +251,29 @@ def _background_and_flags(
     burst_mask = np.zeros(T, dtype=bool)
     tail_mask = np.zeros(T, dtype=bool)
     clean = np.zeros(T, dtype=bool)
-    last_clean = -1  # the latest clean frame before the block
+    last_clean = -1  # the latest clean frame before t0
     block = min(_BLOCK, win)
-    for t0 in range(0, T, block):
-        frames = np.arange(t0, min(t0 + block, T))
-        j = frames - t0
-        lo = max(0, t0 - win)
-        rows = lo + np.flatnonzero(clean[lo:t0])
-        evicted = np.searchsorted(rows, frames - win)
+    t0 = 0
+    while t0 < T:
+        rows, ranked = _clean_window(band_power, clean, t0, win)
+        j = np.arange(min(block, T - t0))
+        evicted = np.searchsorted(rows, t0 + j - win)
         kept = len(rows) - evicted
-        low_rank = (kept + j - 1) // 2 - j
+        low_rank = (kept + j - 1) // 2 - j  # falls with j: the bounded frames are a prefix
         high_rank = (kept + j) // 2 + evicted  # inside the window wherever low_rank >= 0
-        settled = np.zeros(len(frames), dtype=bool)
-        bounded = np.flatnonzero(low_rank >= 0)
-        if bounded.size:
-            ranked = np.sort(band_power[rows], axis=0)
-            burst_high, tail_high = gate(frames[bounded], ranked[high_rank[bounded]])
-            burst_low, tail_low = gate(frames[bounded], ranked[low_rank[bounded]])
-            same = (burst_high == burst_low) & (tail_high == tail_low)
-            settled[bounded[same]] = True
-            at = frames[settled]
-            burst_mask[at], tail_mask[at] = burst_low[same], tail_low[same]
-            clean[at] = ~(burst_low[same] | tail_low[same])
-        for t in frames[~settled].tolist():
-            med = _background_at(band_power, clean, t, win, last_clean)
-            burst, tail = gate(np.array([t]), med[None])
-            burst_mask[t], tail_mask[t], clean[t] = burst[0], tail[0], not (burst[0] or tail[0])
-        clean_here = np.flatnonzero(clean[frames])
+        bounded = slice(1, np.count_nonzero(low_rank >= 0))
+        med = _median(ranked, band_power[max(last_clean, 0)])[None]
+        burst_low, tail_low = gate(t0, np.concatenate((med, ranked[low_rank[bounded]])))
+        burst_high, tail_high = gate(t0, np.concatenate((med, ranked[high_rank[bounded]])))
+        same = (burst_low == burst_high) & (tail_low == tail_high)
+        n = int(np.logical_and.accumulate(same).sum())
+        at = slice(t0, t0 + n)
+        burst_mask[at], tail_mask[at] = burst_low[:n], tail_low[:n]
+        clean[at] = ~(burst_low[:n] | tail_low[:n])
+        clean_here = np.flatnonzero(clean[at])
         if clean_here.size:
-            last_clean = int(frames[clean_here[-1]])
+            last_clean = t0 + int(clean_here[-1])
+        t0 += n
     return burst_mask, tail_mask, burst_total
 
 
@@ -371,7 +364,8 @@ def detect_events(spec: Spectrogram, detector: ClickDetector) -> list[DetectionE
         tail_ok = detector.tail_min_s <= tail_dur <= detector.tail_max_s
 
         latest = np.searchsorted(clean_frames, start) - 1
-        med = _background_at(band_power, clean, start, win, clean_frames[latest] if latest >= 0 else -1)
+        carry = band_power[clean_frames[latest] if latest >= 0 else 0]
+        med = _median(_clean_window(band_power, clean, start, win)[1], carry)
         reference = float(_burst_reference(med, n_burst, detector))
         excess = float(burst_total[start:stop].max()) - reference
         peak_snr = snr_db(max(excess, 0.0), reference)

@@ -78,11 +78,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Labeled event times."""
+    """Connection-click times, each labeled ``connection_click``."""
 
     events: tuple[tuple[float, str], ...]
 
     def __post_init__(self) -> None:
+        for _, label in self.events:
+            if label != "connection_click":
+                raise ValueError(f"ground-truth label must be 'connection_click', got {label!r}")
         times = [t for t, _ in self.events]
         if not all(math.isfinite(t) for t in times):
             raise ValueError(f"ground-truth times must be finite, got {times}")

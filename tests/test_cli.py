@@ -317,6 +317,13 @@ class TestSpectrogramAndBands:
         w, h = (int(v) for v in header[1].split())
         assert (w, h) == size
 
+    @pytest.mark.parametrize("setting", ["window_len=1000", "hop=0"])
+    def test_spectrogram_checks_the_framing_before_the_input_is_read(self, tmp_path, capsys, setting):
+        # As in detect: a bad setting exits 4 even when the input is missing.
+        assert run("spectrogram", str(tmp_path / "absent.wav"), "--out", str(tmp_path / "x.pgm"), "--set", setting) == 4
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
+
     @pytest.mark.parametrize("option", [("--set", "frobnicate=1"), ("--config", "any.cfg")])
     def test_bands_takes_no_config(self, silence_wav, option):
         assert run("bands", str(silence_wav), *option) == 3

@@ -15,9 +15,10 @@ from clickdetect.detector import (
     ClickDetector,
     DetectionEvent,
     _background_and_flags,
-    _background_at,
     _burst_reference,
     _burst_total,
+    _clean_window,
+    _median,
     snr_db,
 )
 from clickdetect.evaluation import match_detections
@@ -104,14 +105,15 @@ class TestClickSignature:
 
 
 def pass_backgrounds(band_power, burst_cols, tail_cols, detector, win):
-    """The pass's flags, and every frame's background read from ``_background_at``
-    against them over all of ``band_power``'s columns."""
+    """The pass's flags, and every frame's background: the median of its clean
+    window under them, over all of ``band_power``'s columns."""
     gated = band_power[:, list(burst_cols) + list(tail_cols)]
     burst, tail, _ = _background_and_flags(gated, len(burst_cols), detector, win)
     clean = ~(burst | tail)
     latest = np.maximum.accumulate(np.where(clean, np.arange(len(clean)), -1))
     before = np.concatenate(([-1], latest[:-1]))
-    bg = np.array([_background_at(band_power, clean, t, win, int(last)) for t, last in enumerate(before)])
+    bg = np.array([_median(_clean_window(band_power, clean, t, win)[1], band_power[max(last, 0)])
+                   for t, last in enumerate(before)])
     return bg.reshape(band_power.shape), burst, tail
 
 
@@ -206,21 +208,23 @@ LEVELS = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
 
 class TestBackgroundPass:
     """The pass against brute force, frame by frame. Each frame is tallied by
-    how the pass settled it: by bounds as a hit, by bounds as a miss, or from
-    the exact median."""
+    how the pass settled it: as a block start, from its exact median, or by
+    bounds as a hit or a miss. A block that starts before its stride is up (a
+    restart at a frame the previous block's bounds left open) is tallied too,
+    with the frames its own bounds settle after it."""
 
     @pytest.fixture
-    def exact_frames(self, monkeypatch):
-        frames = []
+    def block_starts(self, monkeypatch):
+        starts = []
 
-        def recording(band_power, clean, t, win, last_clean):
-            frames.append(t)
-            return _background_at(band_power, clean, t, win, last_clean)
+        def recording(band_power, clean, t, win):
+            starts.append(t)
+            return _clean_window(band_power, clean, t, win)
 
-        monkeypatch.setattr(detector_module, "_background_at", recording)
-        return frames
+        monkeypatch.setattr(detector_module, "_clean_window", recording)
+        return starts
 
-    def compare(self, rng, exact_frames, detector, win, T, n_bands):
+    def compare(self, rng, block_starts, detector, win, T, n_bands):
         """One random case; returns the reference's window tallies and the pass's."""
         band_power = LEVELS[rng.integers(0, LEVELS.size, size=(T, n_bands))] * rng.choice([1e-6, 1.0])
         for _ in range(int(rng.integers(0, 4))):
@@ -231,18 +235,27 @@ class TestBackgroundPass:
         split = int(rng.integers(0, min(n_bands, 4) + 1))
         burst_cols, tail_cols = sorted(cols[:split]), sorted(cols[split:])
 
-        exact_frames.clear()
+        block_starts.clear()
         got = pass_backgrounds(band_power, burst_cols, tail_cols, detector, win)
-        exact = np.zeros(T, dtype=bool)
-        exact[exact_frames] = True
+        starts = list(block_starts)
+        assert starts == sorted(set(starts)) and starts[:1] == [0], starts
+        is_start = np.zeros(T, dtype=bool)
+        is_start[starts] = True
         want, seen = reference_background_and_flags(band_power, burst_cols, tail_cols, detector, win)
         for name, a, b in zip(("bg", "burst", "tail"), got, want):
             assert np.array_equal(a, b), f"{name} differs (T={T}, win={win})"
         flagged = got[1] | got[2]
-        settled = {"bound hit": flagged & ~exact, "bound miss": ~flagged & ~exact, "exact": exact}
-        return seen, {key: int(frames.sum()) for key, frames in settled.items()}
+        stride = min(detector_module._BLOCK, win)
+        restarts = [(t, end) for s, t, end in zip(starts, starts[1:], starts[2:] + [T]) if t - s < stride]
+        return seen, {
+            "bound hit": int((flagged & ~is_start).sum()),
+            "bound miss": int((~flagged & ~is_start).sum()),
+            "block start": len(starts),
+            "mid-stride start": len(restarts),
+            "settled after a restart": sum(end - t - 1 for t, end in restarts),
+        }
 
-    def test_matches_brute_force_median(self, exact_frames):
+    def test_matches_brute_force_median(self, block_starts):
         rng = np.random.default_rng(2024)
         seen, tally = Counter(), Counter()
         short = 0
@@ -251,20 +264,20 @@ class TestBackgroundPass:
             T = int(rng.integers(1, 3 * win + 2))
             short += T < win
             detector = EXACT_RATIOS if case % 2 else ClickDetector()
-            case_seen, case_tally = self.compare(rng, exact_frames, detector, win, T, int(rng.integers(1, 7)))
+            case_seen, case_tally = self.compare(rng, block_starts, detector, win, T, int(rng.integers(1, 7)))
             seen.update(case_seen)
             tally.update(case_tally)
         assert short and all(seen.values()), (short, seen)
         assert all(tally.values()), tally
 
     @pytest.mark.parametrize("win", [375, 1500])  # 2 s of 256-sample hops at 48 and 192 kHz
-    def test_matches_brute_force_at_full_rate_windows(self, exact_frames, win):
+    def test_matches_brute_force_at_full_rate_windows(self, block_starts, win):
         rng = np.random.default_rng(win)
         seen, tally = Counter(), Counter()
         for case in range(4):
             detector = EXACT_RATIOS if case % 2 else ClickDetector()
             T = 3 * win + int(rng.integers(0, 2 * win))  # several blocks, and stretches that empty the window
-            case_seen, case_tally = self.compare(rng, exact_frames, detector, win, T, int(rng.integers(2, 7)))
+            case_seen, case_tally = self.compare(rng, block_starts, detector, win, T, int(rng.integers(2, 7)))
             seen.update(case_seen)
             tally.update(case_tally)
         assert all(seen.values()), seen

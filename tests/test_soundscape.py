@@ -66,6 +66,12 @@ class TestGroundTruth:
         with pytest.raises(ValueError, match="finite"):
             GroundTruth(tuple((t, "connection_click") for t in times))
 
+    @pytest.mark.parametrize("label", ["other_transient", "frobnicate"])
+    def test_rejects_labels_other_than_connection_click(self, label):
+        # Every truth event is a click to find, so any other label would count as a miss.
+        with pytest.raises(ValueError, match=label):
+            GroundTruth(((1.0, "connection_click"), (3.0, label)))
+
     def test_csv_round_trip(self, tmp_path):
         truth = GroundTruth(((1.5, "connection_click"), (4.25, "connection_click")))
         path = tmp_path / "truth.csv"
