@@ -64,8 +64,8 @@ class SampleBuffer:
             raise ValueError("samples contain non-finite values")
         if max(hi, -lo) > 1.0 + 1e-12:
             raise ValueError("samples exceed full scale [-1, 1]")
-        rate = int(self.sample_rate_hz)
-        if rate != self.sample_rate_hz or rate < MIN_SAMPLE_RATE_HZ:
+        rate = self.sample_rate_hz
+        if not MIN_SAMPLE_RATE_HZ <= rate < math.inf or rate != int(rate):  # NaN and inf stop before int()
             raise ValueError(
                 f"sample_rate_hz must be an integer >= {MIN_SAMPLE_RATE_HZ}, got {self.sample_rate_hz}"
             )
@@ -76,7 +76,7 @@ class SampleBuffer:
             samples = samples.copy()
             samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate_hz", rate)
+        object.__setattr__(self, "sample_rate_hz", int(rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -237,8 +237,11 @@ def _decode(raw: memoryview, wav: _WavLayout, out: np.ndarray, path: Path) -> No
 def write_wav(buffer: SampleBuffer, path: str | Path) -> None:
     """Write a buffer as 16-bit PCM mono WAV, encoding 256 KiB of it at a time.
 
-    Round trip error is at most one 16-bit LSB (1/32768) per sample.
+    Round trip error is at most one 16-bit LSB (1/32768) per sample. A rate
+    whose byte rate does not fit the header raises before the file opens.
     """
+    if 2 * buffer.sample_rate_hz > 0xFFFFFFFF:
+        raise ValueError(f"sample_rate_hz {buffer.sample_rate_hz} too high: a WAV byte rate 2 * rate exceeds 32 bits")
     samples = buffer.samples
     header = b"".join(
         [

@@ -1,4 +1,4 @@
-"""Connector-click detection over a spectrogram.
+"""Connector-click detection over a buffer's spectrogram.
 
 The signature has two phases: a short broadband burst whose energy above
 ``burst_low_hz`` clears the rolling background by ``onset_threshold_db``, then
@@ -14,7 +14,7 @@ meaningful on digital silence.
 
 All 13 settings, the signature's and the analysis front end's, are the
 fields of one frozen ``ClickDetector``, checked when it is built; every
-detection function takes that value.
+detection function takes that value, and it alone sets the STFT framing.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .audio_io import SampleBuffer
-from .spectral import Spectrogram, _bands_within_nyquist, _check_framing, frame_band_powers, stft, third_octave_bands
+from .spectral import _bands_within_nyquist, _check_framing, frame_band_powers, stft, third_octave_bands
 
 __all__ = [
     "DetectionEvent",
-    "detect_events",
     "snr_db",
     "ClickDetector",
 ]
@@ -121,7 +120,7 @@ class ClickDetector:
         _check_framing(self.window_len, self.hop)
 
     def predict(self, buffer: SampleBuffer) -> list[DetectionEvent]:
-        return detect_events(stft(buffer, self.window_len, self.hop), self)
+        return detect_events(buffer, self)
 
 
 @dataclass(frozen=True)
@@ -277,17 +276,25 @@ def _background_and_flags(
     return burst_mask, tail_mask, burst_total
 
 
-def _gated_band_power(spec: Spectrogram, detector: ClickDetector) -> tuple[np.ndarray, int]:
+def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> tuple[np.ndarray, int]:
     """Per-frame power of the gated bands only: the burst bands, then the tail's.
 
-    The bands are the 1/3-octave grid from 100 Hz up to Nyquist. The tail
-    bands are picked by center, so where the grid starts matters only to a
-    ``tail_band_hz`` reaching below it. Returns that matrix and its number of
-    burst columns. Raises if the grid has no burst band or no tail band for
-    ``detector``.
+    The frames are ``detector``'s ``window_len`` and ``hop``; the bands are
+    the 1/3-octave grid from 100 Hz up to Nyquist. The tail bands are picked
+    by center, so where the grid starts matters only to a ``tail_band_hz``
+    reaching below it. Returns that matrix and its number of burst columns.
+    Raises, in this order, for a buffer shorter than a window, a hop coarser
+    than ``burst_min_s``, a tail band above Nyquist, or no burst or tail band.
     """
-    rate = spec.sample_rate_hz
-    bands = _bands_within_nyquist(third_octave_bands(100.0, rate / 2.0), rate)
+    spec = stft(buffer, detector.window_len, detector.hop)
+    rate = buffer.sample_rate_hz
+    hop_s = detector.hop / rate
+    if hop_s > detector.burst_min_s:
+        raise ValueError(f"frame hop {hop_s:.4f} s too coarse to gate a {detector.burst_min_s:.3f} s burst")
+    nyquist = rate / 2.0
+    if detector.tail_band_hz[1] > nyquist * (1.0 + 1e-12):
+        raise ValueError(f"tail band {detector.tail_band_hz} extends above Nyquist ({nyquist} Hz)")
+    bands = _bands_within_nyquist(third_octave_bands(100.0, nyquist), rate)
     # Burst bands must lie entirely above burst_low_hz so a band-limited tail
     # cannot keep the burst gate alive. Tail bands are selected by center
     # (closed interval): the grid's "8 kHz band" is centered at 8000 Hz, and
@@ -307,18 +314,18 @@ def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
-def _run_duration_s(n_frames: int, spec: Spectrogram) -> float:
+def _run_duration_s(n_frames: int, detector: ClickDetector, rate: int) -> float:
     # n_frames qualifying windows span the event plus ~one window of smear;
     # subtracting (window - hop) undoes the smear in expectation.
-    samples = n_frames * spec.hop + spec.hop - spec.window_len
-    return max(spec.hop, samples) / spec.sample_rate_hz
+    samples = n_frames * detector.hop + detector.hop - detector.window_len
+    return max(detector.hop, samples) / rate
 
 
 def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def detect_events(spec: Spectrogram, detector: ClickDetector) -> list[DetectionEvent]:
+def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[DetectionEvent]:
     """Detect and classify click events; returns events sorted by onset.
 
     Pipeline per the signature: (1) frames whose summed power in bands at or
@@ -334,33 +341,26 @@ def detect_events(spec: Spectrogram, detector: ClickDetector) -> list[DetectionE
     (6) events with onsets closer than ``merge_window_s`` are merged keeping
     the higher score (ties keep the earlier onset).
     """
-    hop_s = spec.frame_hop_s
-    if hop_s > detector.burst_min_s:
-        raise ValueError(
-            f"frame hop {hop_s:.4f} s too coarse to gate a {detector.burst_min_s:.3f} s burst"
-        )
-    nyquist = spec.sample_rate_hz / 2.0
-    if detector.tail_band_hz[1] > nyquist * (1.0 + 1e-12):
-        raise ValueError(f"tail band {detector.tail_band_hz} extends above Nyquist ({nyquist} Hz)")
     # The background pass is the costliest stage after the band powers; run it
     # only over the gated bands.
-    win = max(2, round(detector.background_window_s / hop_s))
-    band_power, n_burst = _gated_band_power(spec, detector)
+    band_power, n_burst = _gated_band_power(buffer, detector)
+    hop, rate = detector.hop, buffer.sample_rate_hz
+    win = max(2, round(detector.background_window_s / (hop / rate)))
     burst_mask, tail_mask, burst_total = _background_and_flags(band_power, n_burst, detector, win)
     clean = ~(burst_mask | tail_mask)
     clean_frames = np.flatnonzero(clean)
 
-    T = spec.n_frames
+    T = len(band_power)
     events: list[DetectionEvent] = []
     for start, stop in _mask_runs(burst_mask):
-        burst_dur = _run_duration_s(stop - start, spec)
+        burst_dur = _run_duration_s(stop - start, detector, rate)
         if not detector.burst_min_s <= burst_dur <= detector.burst_max_s:
             continue
         u = stop
         while u < T and tail_mask[u] and not burst_mask[u]:
             u += 1
         tail_frames = u - stop
-        tail_dur = _run_duration_s(tail_frames, spec) if tail_frames else 0.0
+        tail_dur = _run_duration_s(tail_frames, detector, rate) if tail_frames else 0.0
         tail_ok = detector.tail_min_s <= tail_dur <= detector.tail_max_s
 
         latest = np.searchsorted(clean_frames, start) - 1
@@ -371,7 +371,7 @@ def detect_events(spec: Spectrogram, detector: ClickDetector) -> list[DetectionE
         peak_snr = snr_db(max(excess, 0.0), reference)
         score = 0.5 * _clamp01(peak_snr / 20.0) + 0.5 * _clamp01(tail_dur / 0.3)
         label: Label = "connection_click" if tail_ok and score >= 0.5 else "other_transient"
-        onset_s = max(0, start * spec.hop + spec.window_len - spec.hop) / spec.sample_rate_hz
+        onset_s = max(0, start * hop + detector.window_len - hop) / rate
         events.append(
             DetectionEvent(onset_s, burst_dur, tail_dur, peak_snr, score, label)
         )

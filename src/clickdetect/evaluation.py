@@ -205,14 +205,15 @@ def _read_manifest(path: Path) -> list[dict]:
     required = {
         "wav_path": (str, "a string"),
         "truth_path": (str, "a string"),
-        "snr_db": ((int, float), "a number"),
+        "snr_db": ((int, float), "a finite number"),  # json reads NaN and Infinity as numbers
     }
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: entry {i} is not a JSON object")
         for key, (kind, what) in required.items():
             value = entry.get(key)
-            if not isinstance(value, kind) or isinstance(value, bool):
+            finite = not isinstance(value, float) or math.isfinite(value)
+            if not isinstance(value, kind) or isinstance(value, bool) or not finite:
                 raise ValueError(f"{path}: entry {i}: {key!r} is missing or not {what}")
     return entries
 

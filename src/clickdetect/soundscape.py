@@ -19,7 +19,6 @@ import numpy as np
 
 from .audio_io import DEFAULT_SAMPLE_RATE_HZ, SampleBuffer, write_wav
 from .detector import ClickDetector, _burst_total, _gated_band_power, _require_finite, _require_power
-from .spectral import stft
 
 __all__ = [
     "SimConfig",
@@ -271,15 +270,10 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
     out = noise.samples.copy()
     if times:
         detector = ClickDetector()
-
-        def burst_track(buffer: SampleBuffer) -> np.ndarray:
-            spec = stft(buffer, detector.window_len, detector.hop)
-            return _burst_total(*_gated_band_power(spec, detector))
-
-        noise_ref = float(burst_track(noise).mean())
+        noise_ref = float(_burst_total(*_gated_band_power(noise, detector)).mean())
         if noise_ref <= 0.0:
             raise ValueError("noise has no measurable burst-band power to reference the SNR to")
-        click_peak = float(burst_track(click).max())
+        click_peak = float(_burst_total(*_gated_band_power(click, detector)).max())
         gain = math.sqrt(10.0 ** (cfg.target_snr_db / 10.0) * noise_ref / click_peak)
         scaled = gain * click.samples
         for i0 in starts:
@@ -361,7 +355,9 @@ def _write_clip(out_dir: Path, wav_name: str, truth_name: str, cfg: SimConfig, c
         raise ValueError(f"clicks must be >= 0, got {clicks}")
     times = spaced_click_times(clicks, cfg.duration_s, np.random.default_rng(cfg.seed))
     cfg = replace(cfg, click_times_s=times)
-    mix, truth = mix_at_snr(synth_click(cfg.sample_rate_hz, cfg.seed), factory_noise(cfg), cfg)
+    mix, truth = factory_noise(cfg), GroundTruth(())
+    if times:  # only a click needs synth_click's 16 kHz floor
+        mix, truth = mix_at_snr(synth_click(cfg.sample_rate_hz, cfg.seed), mix, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_wav(mix, out_dir / wav_name)
     write_truth_csv(truth, out_dir / truth_name)

@@ -219,14 +219,31 @@ def _bands_within_nyquist(bands: Sequence[Band], sample_rate_hz: int) -> list[Ba
     return [b for b in bands if b.upper_hz <= nyquist * (1.0 + 1e-12)]
 
 
-def _band_bins(freqs: np.ndarray, bands: Sequence[Band]) -> np.ndarray:
-    """The [start, stop) bin indices of each band, one row per band.
+def _band_summer(freqs: np.ndarray, bands: Sequence[Band]) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``sum_into(power, out)``: band k's bins of ``power`` summed into column
+    k of ``out``, both along the last axis. The bin indices are found once.
 
-    A bin belongs to a band when its center frequency lies in the band's
-    half-open [lower, upper) interval; ``freqs`` is ascending.
+    A bin belongs to a band when its center frequency (``freqs``, ascending)
+    lies in the band's half-open [lower, upper) interval. Each band is summed
+    over its own bins alone; a band without bins keeps its value in ``out``.
     """
     edges = np.array([(band.lower_hz, band.upper_hz) for band in bands]).reshape(-1, 2)
-    return np.searchsorted(freqs, edges, side="left")
+    bins = np.searchsorted(freqs, edges, side="left")
+    # reduceat sums bins [index[i], index[i + 1]) into column i, so with
+    # (start, stop) pairs the even columns are the bands. The bin count is not
+    # a valid index: a band reaching the top bin is summed from its start
+    # alone, as the last index.
+    inner = [k for k, (j0, j1) in enumerate(bins) if j0 < j1 < len(freqs)]
+    top = [k for k, (j0, j1) in enumerate(bins) if j0 < j1 == len(freqs)]
+    index = bins[inner].ravel()
+
+    def sum_into(power: np.ndarray, out: np.ndarray) -> None:
+        if inner:
+            out[..., inner] = np.add.reduceat(power, index, axis=-1)[..., ::2]
+        for k in top:
+            out[..., k] = np.add.reduceat(power, bins[k, :1], axis=-1)[..., 0]
+
+    return sum_into
 
 
 def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile:
@@ -245,11 +262,9 @@ def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile
     n = x.size
     periodogram = _onesided_power(x[np.newaxis, :])[0] / (n * n)  # sums to mean(x^2)
     freqs = np.arange(periodogram.size) * (buffer.sample_rate_hz / n)
-    power_db = np.empty(len(kept))
-    for i, (j0, j1) in enumerate(_band_bins(freqs, kept)):
-        total = float(periodogram[j0:j1].sum())
-        power_db[i] = 10.0 * math.log10(max(total, _DB_FLOOR_POWER))
-    return BandPowerProfile(tuple(kept), power_db)
+    totals = np.zeros(len(kept))
+    _band_summer(freqs, kept)(periodogram, totals)
+    return BandPowerProfile(tuple(kept), 10.0 * np.log10(np.maximum(totals, _DB_FLOOR_POWER)))
 
 
 def frame_band_powers(spec: Spectrogram, bands: Sequence[Band]) -> np.ndarray:
@@ -260,27 +275,11 @@ def frame_band_powers(spec: Spectrogram, bands: Sequence[Band]) -> np.ndarray:
     Each band is summed over its own bins alone, so its column does not
     depend on which other bands are asked for, nor on the block layout.
     """
-    n_bins = spec.n_bins
     window = _hann(spec.window_len)
     norm = spec.window_len * float(np.sum(window**2))
-    bins = _band_bins(spec.bin_frequencies_hz, bands)
-    # reduceat sums bins [index[i], index[i + 1]) into column i, so with
-    # (start, stop) pairs the even columns are the bands. The bin count is not
-    # a valid index: a band reaching the top bin is summed from its start
-    # alone, as the last index. A band without bins stays 0.
-    inner = [k for k, (j0, j1) in enumerate(bins) if j0 < j1 < n_bins]
-    top = [k for k, (j0, j1) in enumerate(bins) if j0 < j1 == n_bins]
-    index = bins[inner].ravel()
+    sum_into = _band_summer(spec.bin_frequencies_hz, bands)
     out = np.zeros((spec.n_frames, len(bands)))
-
-    def reduce(start: int, block: np.ndarray) -> None:
-        rows = out[start : start + len(block)]
-        if inner:
-            rows[:, inner] = np.add.reduceat(block, index, axis=1)[:, ::2]
-        for k in top:
-            rows[:, k] = np.add.reduceat(block, bins[k, :1], axis=1)[:, 0]
-
-    spec._map_power_blocks(reduce)
+    spec._map_power_blocks(lambda start, block: sum_into(block, out[start : start + len(block)]))
     out /= norm
     return out
 

@@ -42,6 +42,12 @@ class TestSampleBuffer:
         with pytest.raises(ValueError):
             SampleBuffer(np.zeros((2, 5)), RATE)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, -math.inf, 48000.5])
+    def test_non_integer_rate_named(self, rate):
+        # int() of an infinite or NaN rate used to escape as OverflowError or its own ValueError.
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            SampleBuffer(np.zeros(10), rate)
+
     def test_caller_writes_do_not_reach_buffer(self):
         x = np.zeros(8)
         buf = SampleBuffer(x, RATE)
@@ -312,6 +318,15 @@ class TestWriteWav:
             return 10 * math.log10(float(np.mean(x**2)))
 
         assert abs(rms_db(back.samples) - rms_db(buf.samples)) <= 0.01
+
+    def test_rate_beyond_the_header_named_before_the_file_opens(self, tmp_path):
+        # The byte rate 2 * 2**31 overflows its uint32, which used to escape as struct.error.
+        path = tmp_path / "fast.wav"
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            write_wav(SampleBuffer(np.zeros(10), 2**31), path)
+        assert not path.exists()
+        write_wav(SampleBuffer(np.zeros(10), 2**31 - 1), path)
+        assert read_wav(path).sample_rate_hz == 2**31 - 1
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clickdetect.audio_io import SampleBuffer, write_wav
+from clickdetect.audio_io import SampleBuffer, read_wav, write_wav
 from clickdetect.cli import _DEFAULTS, _DETECTOR_KEYS, _SIM_KEYS, CONFIG_SPEC, _settings, build_parser, main
 from clickdetect.detector import ClickDetector
 from clickdetect.soundscape import ShroudModel, SimConfig, read_truth_csv
@@ -245,6 +245,13 @@ class TestSimulate:
                    "--duration", "8", "--seed", "1") == 0
         assert (tmp_path / "truth.csv").read_text() == "time_s,label\n"
 
+    def test_zero_clicks_need_no_click_rate(self, tmp_path):
+        # No click is synthesised without a click time, so its 16 kHz floor does not apply.
+        assert run("simulate", "--out-dir", str(tmp_path), "--clicks", "0",
+                   "--sample-rate", "8000", "--duration", "2") == 0
+        assert (tmp_path / "truth.csv").read_text() == "time_s,label\n"
+        assert read_wav(tmp_path / "mix.wav").sample_rate_hz == 8000
+
     def test_deterministic_wav(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
@@ -279,8 +286,9 @@ class TestSimulate:
             ("5", "JSON list"),
             ("[{", "manifest.json"),
             ('[{"wav_path": "mix.wav"}]', "'truth_path'"),
+            ('[{"wav_path": "mix.wav", "truth_path": "truth.csv", "snr_db": NaN}]', "'snr_db'"),
         ],
-        ids=["object", "number", "not_json", "no_truth_path"],
+        ids=["object", "number", "not_json", "no_truth_path", "nan_snr_db"],
     )
     def test_malformed_manifest_exits_4_writing_nothing(self, tmp_path, capsys, manifest, named):
         # The manifest is read before the clip is written, so a bad one leaves the directory as it was.
@@ -402,6 +410,16 @@ class TestEvaluateCommand:
         # --jobs is gone: any value of it, a pool size below one too, is an unknown flag.
         assert run("evaluate", str(tmp_path / "nope.json"), "--jobs", jobs) == 3
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", ["NaN", "Infinity"])
+    def test_non_finite_snr_exits_4_naming_the_entry(self, tmp_path, capsys, snr):
+        # These used to score the clip under a "+nan dB" or "+inf dB" row and exit 0.
+        sim = tmp_path / "sim"
+        assert run("simulate", "--out-dir", str(sim), "--clicks", "1", "--duration", "8", "--seed", "8") == 0
+        manifest = sim / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"snr_db": 12.0', f'"snr_db": {snr}'))
+        assert run("evaluate", str(manifest)) == 4
+        assert "manifest.json: entry 0: 'snr_db' is missing or not a finite number" in capsys.readouterr().err
 
     def test_malformed_manifest_exits_4(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"

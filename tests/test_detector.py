@@ -459,6 +459,23 @@ class TestDetectEvents:
         with pytest.raises(ValueError, match="coarse"):
             detector.predict(SampleBuffer(np.zeros(2 * RATE), RATE))
 
+    @pytest.mark.parametrize(
+        "rate, n_samples, message",
+        [
+            # the spectrogram is built before any rate check
+            (11025, 441, "buffer has 441 samples, shorter than one 1024-sample window"),
+            (11025, 2 * 11025, "frame hop 0.0232 s too coarse to gate a 0.020 s burst"),
+            (14000, 2 * 14000, "tail band (1000.0, 8000.0) extends above Nyquist (7000.0 Hz)"),
+            (16000, 2 * 16000, "no band lies fully between burst_low_hz=8000.0 Hz and Nyquist"),
+            (22050, 2 * 22050, "no band lies fully between burst_low_hz=8000.0 Hz and Nyquist"),
+        ],
+    )
+    def test_front_end_errors_in_order(self, rate, n_samples, message):
+        noise = 0.01 * np.random.default_rng(1).standard_normal(n_samples)
+        with pytest.raises(ValueError) as info:
+            ClickDetector().predict(SampleBuffer(noise, rate))
+        assert str(info.value) == message
+
     def test_short_background_window_rejected(self):
         with pytest.raises(ValueError, match="at least 1.0 s"):
             ClickDetector(background_window_s=0.5)

@@ -245,10 +245,16 @@ class TestRunBenchmark:
             ([{"wav_path": "missing.wav", "truth_path": "t.csv", "snr_db": 6.0},
               {"wav_path": "x.wav", "truth_path": "t.csv"}], "entry 1: 'snr_db'"),
             ([{"wav_path": "x.wav", "truth_path": "t.csv", "snr_db": "loud"}], "entry 0: 'snr_db'"),
+            # json writes and reads these as the literals NaN, Infinity and -Infinity
+            ([{"wav_path": "x.wav", "truth_path": "t.csv", "snr_db": math.nan}], "entry 0: 'snr_db' .* finite"),
+            ([{"wav_path": "missing.wav", "truth_path": "t.csv", "snr_db": 6.0},
+              {"wav_path": "x.wav", "truth_path": "t.csv", "snr_db": math.inf}], "entry 1: 'snr_db' .* finite"),
+            ([{"wav_path": "x.wav", "truth_path": "t.csv", "snr_db": -math.inf}], "entry 0: 'snr_db' .* finite"),
             ({"a": 1}, "JSON list"),
             (5, "JSON list"),
         ],
-        ids=["no_truth_path", "not_an_object", "no_snr_db_after_a_bad_clip", "text_snr_db", "object", "number"],
+        ids=["no_truth_path", "not_an_object", "no_snr_db_after_a_bad_clip", "text_snr_db",
+             "nan_snr_db", "infinite_snr_db_after_a_bad_clip", "negative_infinite_snr_db", "object", "number"],
     )
     def test_malformed_manifest_rejected_before_any_clip(self, tmp_path, entries, named):
         manifest = tmp_path / "m.json"

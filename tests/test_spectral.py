@@ -197,6 +197,26 @@ class TestBandPowers:
         covered = spectrum[(freqs >= lo) & (freqs < hi)].sum()
         assert total_in_bands == pytest.approx(covered, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [RATE, RATE + 1])
+    def test_each_band_matches_a_slice_sum(self, rng, n):
+        # The per-band slice loop band_powers used to run is the reference; the
+        # band summer adds in another order, so agreement is to rounding.
+        x = 0.1 * rng.standard_normal(n)
+        nyquist = RATE / 2
+        # an odd length puts the last band's upper edge past the top bin; the first band has no bin
+        bands = [Band(0.3, 0.2, 0.4)] + third_octave_bands(20, nyquist) + [Band(23000.0, 22500.0, nyquist)]
+        profile = band_powers(SampleBuffer(x, RATE), bands)
+        spectrum = np.abs(np.fft.rfft(x)) ** 2 / (n * n)
+        spectrum[1 : spectrum.size - (n % 2 == 0)] *= 2
+        freqs = np.arange(spectrum.size) * (RATE / n)
+        expected = [
+            10 * math.log10(max(spectrum[(freqs >= b.lower_hz) & (freqs < b.upper_hz)].sum(), 1e-30))
+            for b in profile.bands
+        ]
+        assert profile.bands == tuple(bands)
+        np.testing.assert_allclose(profile.power_db, expected, rtol=0, atol=1e-9)
+        assert profile.power_db[0] == -300.0
+
     def test_band_above_nyquist_absent_not_zero(self, rng):
         x = SampleBuffer(0.1 * rng.standard_normal(2 * 16000), 16000)
         bands = third_octave_bands(100, 30000)
