@@ -45,9 +45,12 @@ def _require_finite(settings, unbounded: Sequence[str] = ()) -> None:
     for field in fields(settings):
         value = getattr(settings, field.name)
         for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, numbers.Real) and not math.isfinite(v):
-                if not (v == math.inf and field.name in unbounded):
-                    raise ValueError(f"{field.name} must be finite, got {value}")
+            try:
+                finite = not isinstance(v, numbers.Real) or math.isfinite(v)
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite and not (v == math.inf and field.name in unbounded):
+                raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 def _require_power(settings, names: Sequence[str]) -> None:
@@ -133,8 +136,10 @@ class DetectionEvent:
     label: Label
 
     def __post_init__(self) -> None:
-        if self.onset_s < 0 or self.burst_duration_s < 0 or self.tail_duration_s < 0:
-            raise ValueError("event times and durations must be non-negative")
+        for name in ("onset_s", "burst_duration_s", "tail_duration_s"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 

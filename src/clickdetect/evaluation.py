@@ -81,34 +81,23 @@ class EvalReport:
         }
 
 
-def match_detections(
-    detections: Sequence[DetectionEvent],
-    truth: GroundTruth,
-    tolerance_s: float = _TOLERANCE_S,
-) -> EvalReport:
-    """Greedy chronological matching of truths to connection_click detections.
+def match_detections(detections: Sequence[DetectionEvent], truth: GroundTruth) -> EvalReport:
+    """Greedy chronological matching of truth times to connection_click detections.
 
-    Each truth event takes the nearest unmatched connection_click within
-    +-tolerance_s (ties go to the earlier detection); unmatched clicks are
-    false positives, unmatched truths false negatives. other_transient
-    detections are the rejected class: never true positives, never false
-    positives.
+    Each truth time, earliest first, takes the nearest unmatched
+    connection_click whose onset lies within +-``_TOLERANCE_S`` of it (ties go
+    to the earlier detection); unmatched clicks are false positives, unmatched
+    truths false negatives. other_transient detections are the rejected
+    class: never true positives, never false positives.
     """
-    if not 0.0 < tolerance_s < math.inf:
-        raise ValueError(f"tolerance_s must be positive and finite, got {tolerance_s}")
-    times = truth.times
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("ground truth must be sorted by time")
-    clicks = sorted(
-        (e.onset_s for e in detections if e.label == "connection_click")
-    )
+    clicks = sorted(e.onset_s for e in detections if e.label == "connection_click")
     matched = [False] * len(clicks)
     per_event: list[tuple[float, float | None]] = []
     tp = 0
-    for t in times:
+    for t in truth.times:
         best = None
         for i, onset in enumerate(clicks):
-            if matched[i] or abs(onset - t) > tolerance_s:
+            if matched[i] or abs(onset - t) > _TOLERANCE_S:
                 continue
             if best is None or abs(onset - t) < abs(clicks[best] - t):
                 best = i
@@ -119,7 +108,7 @@ def match_detections(
             per_event.append((t, clicks[best]))
             tp += 1
     fp = matched.count(False)
-    fn = len(times) - tp
+    fn = len(truth.times) - tp
     return EvalReport.from_counts(tp, fp, fn, tuple(per_event))
 
 

@@ -77,23 +77,18 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Connection-click times, each labeled ``connection_click``."""
+    """Connection-click times in seconds, stored as floats: each finite, and
+    ascending at least 0.5 s apart."""
 
-    events: tuple[tuple[float, str], ...]
+    times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for _, label in self.events:
-            if label != "connection_click":
-                raise ValueError(f"ground-truth label must be 'connection_click', got {label!r}")
-        times = [t for t, _ in self.events]
+        times = tuple(float(t) for t in self.times)
+        object.__setattr__(self, "times", times)
         if not all(math.isfinite(t) for t in times):
             raise ValueError(f"ground-truth times must be finite, got {times}")
         if any(not b - a >= 0.5 for a, b in zip(times, times[1:])):
             raise ValueError("ground-truth times must be ascending and >= 0.5 s apart")
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.events)
 
 
 @dataclass(frozen=True)
@@ -279,8 +274,7 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
         for i0 in starts:
             out[i0 : i0 + n_click] += scaled
         np.clip(out, -1.0, 1.0, out=out)  # leaves in-range samples as they are
-    truth = GroundTruth(tuple((t, "connection_click") for t in times))
-    return SampleBuffer(out, rate), truth
+    return SampleBuffer(out, rate), GroundTruth(times)
 
 
 def apply_shroud(buffer: SampleBuffer, model: ShroudModel) -> SampleBuffer:
@@ -315,14 +309,14 @@ def write_truth_csv(truth: GroundTruth, path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["time_s", "label"])
-        for t, label in truth.events:
-            writer.writerow([f"{t:.6f}", label])
+        for t in truth.times:
+            writer.writerow([f"{t:.6f}", "connection_click"])
 
 
 def read_truth_csv(path: str | Path) -> GroundTruth:
     """Read a ``time_s,label`` CSV of connection clicks; errors name the file,
     and a bad row its line."""
-    events = []
+    times = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         if next(reader, None) != ["time_s", "label"]:
@@ -337,9 +331,9 @@ def read_truth_csv(path: str | Path) -> GroundTruth:
                     raise ValueError(f"label must be 'connection_click', got {label!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-            events.append((t, label))
+            times.append(t)
     try:
-        return GroundTruth(tuple(events))
+        return GroundTruth(tuple(times))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

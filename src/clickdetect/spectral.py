@@ -97,10 +97,6 @@ class Spectrogram:
         return self.window_len // 2 + 1
 
     @property
-    def frame_hop_s(self) -> float:
-        return self.hop / self.sample_rate_hz
-
-    @property
     def bin_frequencies_hz(self) -> np.ndarray:
         return np.arange(self.n_bins) * (self.sample_rate_hz / self.window_len)
 
@@ -137,14 +133,11 @@ class Spectrogram:
                 np.multiply(rows, window, out=windowed[: len(rows)])
                 results[block] = fn(start, _onesided_power(windowed[: len(rows)], out=power[: len(rows)]))
 
-        if n_workers == 1:
+        with ThreadPoolExecutor(n_workers) as pool:  # starts one thread per submit: none for one worker
+            helpers = [pool.submit(work, k) for k in range(1, n_workers)]
             work(0)
-        else:
-            with ThreadPoolExecutor(n_workers - 1) as pool:
-                helpers = [pool.submit(work, k) for k in range(1, n_workers)]
-                work(0)
-                for helper in helpers:
-                    helper.result()
+            for helper in helpers:
+                helper.result()
         return results
 
 

@@ -234,8 +234,8 @@ class TestCriterion7EvaluationArithmetic:
         detections = [
             DetectionEvent(t, 0.05, 0.3, 15.0, 0.9, "connection_click") for t in (2.1, 5.0, 8.05)
         ]
-        truth = GroundTruth(((2.0, "connection_click"), (8.0, "connection_click")))
-        rep = match_detections(detections, truth, 0.25)
+        truth = GroundTruth((2.0, 8.0))
+        rep = match_detections(detections, truth)
         exact = (
             rep.true_positives == 2
             and rep.false_positives == 1

@@ -125,7 +125,7 @@ def background(spec, bands):
     burst = [i for i, b in enumerate(bands) if b.lower_hz >= detector.burst_low_hz and b.upper_hz <= nyquist]
     lo, hi = detector.tail_band_hz
     tail = [i for i, b in enumerate(bands) if lo <= b.center_hz <= hi and b.upper_hz <= nyquist and i not in burst]
-    win = max(2, round(detector.background_window_s / spec.frame_hop_s))
+    win = max(2, round(detector.background_window_s / (spec.hop / spec.sample_rate_hz)))
     return pass_backgrounds(frame_band_powers(spec, bands), burst, tail, detector, win)[0]
 
 
@@ -140,7 +140,7 @@ class TestEstimateBackground:
         spec = stft(x, 1024, 256)
         bands = [b for b in third_octave_bands(100, RATE / 2) if b.upper_hz <= RATE / 2]
         powers = frame_band_powers(spec, bands)
-        start = round(1.0 / spec.frame_hop_s)
+        start = round(1.0 / (spec.hop / spec.sample_rate_hz))
         long_run_mean = powers[start:].mean(axis=0)
         averaged_estimate = background(spec, bands)[start:].mean(axis=0)
         # narrow low bands hold 2-3 FFT bins whose median skews low; the
@@ -552,6 +552,20 @@ class TestDetectionEvent:
     def test_score_bounds_enforced(self):
         with pytest.raises(ValueError):
             DetectionEvent(1.0, 0.05, 0.3, 10.0, 1.5, "connection_click")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+    @pytest.mark.parametrize("index, name", [(0, "onset_s"), (1, "burst_duration_s"), (2, "tail_duration_s")])
+    def test_times_must_be_finite_and_non_negative(self, index, name, value):
+        # A NaN onset used to match any truth time.
+        fields = [50.0, 0.05, 0.3, 15.0, 0.9, "connection_click"]
+        fields[index] = value
+        with pytest.raises(ValueError, match=name):
+            DetectionEvent(*fields)
+
+    @pytest.mark.parametrize("peak_snr_db", [math.inf, -math.inf])
+    def test_infinite_snr_is_a_sentinel(self, peak_snr_db):
+        event = DetectionEvent(1.0, 0.05, 0.3, peak_snr_db, 0.9, "connection_click")
+        assert event.to_json_dict()["snr_db"] == peak_snr_db
 
     def test_json_dict_wire_names(self):
         event = DetectionEvent(1.25, 0.05, 0.3, 14.5, 0.9, "connection_click")

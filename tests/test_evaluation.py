@@ -36,15 +36,13 @@ def click_at(onset_s: float, label: str = "connection_click") -> DetectionEvent:
 
 
 def truth_at(*times: float) -> GroundTruth:
-    return GroundTruth(tuple((t, "connection_click") for t in times))
+    return GroundTruth(times)
 
 
 class TestMatchDetections:
     def test_hand_derived_example(self):
-        # truths {2.0, 8.0}, detections {2.1, 5.0, 8.05}, tol 0.25
-        report = match_detections(
-            [click_at(2.1), click_at(5.0), click_at(8.05)], truth_at(2.0, 8.0), 0.25
-        )
+        # truths {2.0, 8.0}, detections {2.1, 5.0, 8.05}, tolerance 0.25 s
+        report = match_detections([click_at(2.1), click_at(5.0), click_at(8.05)], truth_at(2.0, 8.0))
         assert (report.true_positives, report.false_positives, report.false_negatives) == (2, 1, 0)
         assert report.precision == pytest.approx(2 / 3)
         assert report.recall == 1.0
@@ -88,31 +86,10 @@ class TestMatchDetections:
             report = match_detections(detections, truth_at(*truths))
             assert report.true_positives + report.false_negatives == len(truths)
 
-    def test_shrinking_tolerance_never_increases_tp(self, rng):
-        for trial in range(20):
-            r = np.random.default_rng(100 + trial)
-            truths = np.cumsum(r.uniform(0.7, 3.0, 6))
-            detections = [click_at(float(t + r.normal(0, 0.2))) for t in truths]
-            wide = match_detections(detections, truth_at(*map(float, truths)), 0.5)
-            narrow = match_detections(detections, truth_at(*map(float, truths)), 0.1)
-            assert narrow.true_positives <= wide.true_positives
-
     def test_nearest_wins(self):
-        report = match_detections([click_at(2.2), click_at(2.05)], truth_at(2.0), 0.25)
+        report = match_detections([click_at(2.2), click_at(2.05)], truth_at(2.0))
         assert report.per_event == ((2.0, 2.05),)
         assert report.false_positives == 1
-
-    def test_unsorted_truth_rejected(self):
-        bad = object.__new__(GroundTruth)
-        object.__setattr__(bad, "events", ((5.0, "connection_click"), (2.0, "connection_click")))
-        with pytest.raises(ValueError, match="sorted"):
-            match_detections([], bad)
-
-    def test_bad_tolerance(self):
-        # A NaN tolerance used to match a detection 49 s from its truth.
-        for tolerance_s in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="tolerance_s"):
-                match_detections([click_at(50.0)], truth_at(1.0), tolerance_s)
 
 
 class TestEvalReport:
