@@ -19,7 +19,7 @@ from pathlib import Path
 from .audio_io import WavFormatError, read_wav
 from .detector import ClickDetector
 from .evaluation import _read_manifest, depth_sweep, run_benchmark
-from .soundscape import ShroudModel, SimConfig, _write_clip
+from .soundscape import _SHROUD_DEPTH_M, SimConfig, _write_clip
 from .spectral import _check_framing, band_powers, spectrogram_image, stft, third_octave_bands
 
 EXIT_OK = 0
@@ -55,25 +55,21 @@ def _parse_depths(text: str) -> tuple[float, ...]:
         depths = ()
     if not depths:
         raise argparse.ArgumentTypeError(f"expected comma-separated depths in meters, got {text!r}")
-    deepest = ShroudModel.reference_depth_m
     for depth in depths:
-        if not 0.0 <= depth <= deepest:  # NaN fails too
-            raise argparse.ArgumentTypeError(f"each depth must lie in [0, {deepest}] m, got {depth}")
+        if not 0.0 <= depth <= _SHROUD_DEPTH_M:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"each depth must lie in [0, {_SHROUD_DEPTH_M}] m, got {depth}")
     return depths
 
 
 _DETECTOR_KEYS = tuple(field.name for field in fields(ClickDetector))
 _SIM_KEYS = tuple(field.name for field in fields(SimConfig) if field.name != "click_times_s")
-_SHROUD_KEYS = ("attenuation_db", "corner_hz", "attenuation_cap_db")
 
 #: Every config key and its default, read from the key's owner: the detector's
-#: parameters, the soundscape's knobs, the CLI's own click count and the
-#: shroud model's fields.
+#: parameters, the soundscape's knobs and the CLI's own click count.
 _DEFAULTS: dict = {
     **{key: getattr(ClickDetector, key) for key in _DETECTOR_KEYS},
     **{key: getattr(SimConfig, key) for key in _SIM_KEYS},
     "clicks": 3,
-    **{key: getattr(ShroudModel, key) for key in _SHROUD_KEYS},
 }
 
 #: Each config key's parser, picked by the type of its default.
@@ -180,9 +176,8 @@ def cmd_bands(args) -> int:
 
 def cmd_depth_sweep(args) -> int:
     # pink_noise reads only the rate, the seed and the duration of its SimConfig.
-    settings = _settings(args, ("sample_rate_hz", "seed", "duration_s", *_SHROUD_KEYS), duration_s=16.0)
-    model = ShroudModel(**{key: settings.pop(key) for key in _SHROUD_KEYS})
-    table = depth_sweep(model, args.depths, SimConfig(**settings))
+    settings = _settings(args, ("sample_rate_hz", "seed", "duration_s"), duration_s=16.0)
+    table = depth_sweep(args.depths, SimConfig(**settings))
     _write_text(args.out, table.as_csv())
     return EXIT_OK
 

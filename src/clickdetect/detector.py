@@ -38,18 +38,21 @@ __all__ = [
 Label = Literal["connection_click", "other_transient"]
 
 
-def _require_finite(settings, unbounded: Sequence[str] = ()) -> None:
+def _is_finite(value: numbers.Real) -> bool:
+    """Whether ``value`` is finite; an int beyond float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _require_finite(settings) -> None:
     """Raise naming the first field of the dataclass ``settings`` that holds a
-    non-finite number, alone or in a tuple. ``+inf`` passes in the
-    ``unbounded`` fields, where it means no limit."""
+    non-finite number, alone or in a tuple."""
     for field in fields(settings):
         value = getattr(settings, field.name)
         for v in value if isinstance(value, tuple) else (value,):
-            try:
-                finite = not isinstance(v, numbers.Real) or math.isfinite(v)
-            except OverflowError:  # an int beyond float range
-                finite = False
-            if not finite and not (v == math.inf and field.name in unbounded):
+            if isinstance(v, numbers.Real) and not _is_finite(v):
                 raise ValueError(f"{field.name} must be finite, got {value}")
 
 
@@ -341,8 +344,10 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
     (any band, so the tail registers wherever it clears the colored floor) for
     a duration in [tail_min_s, tail_max_s] -- frames that re-trigger the burst
     gate belong to a new event and terminate the tail; (4) score mixes burst
-    SNR (20 dB => 1.0) and tail duration (0.3 s => 1.0) equally; (5) the event
-    is a connection_click iff the tail check passed and score >= 0.5;
+    SNR (20 dB => 1.0) and tail duration (0.3 s => 1.0) equally; it ranks
+    events for the merge but does not label them; (5) the event is a
+    connection_click iff the tail check passed, so with a low
+    ``onset_threshold_db`` a short tail needs no more than the gate's SNR;
     (6) events with onsets closer than ``merge_window_s`` are merged keeping
     the higher score (ties keep the earlier onset).
     """
@@ -375,8 +380,8 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
         excess = float(burst_total[start:stop].max()) - reference
         peak_snr = snr_db(max(excess, 0.0), reference)
         score = 0.5 * _clamp01(peak_snr / 20.0) + 0.5 * _clamp01(tail_dur / 0.3)
-        label: Label = "connection_click" if tail_ok and score >= 0.5 else "other_transient"
-        onset_s = max(0, start * hop + detector.window_len - hop) / rate
+        label: Label = "connection_click" if tail_ok else "other_transient"
+        onset_s = (start * hop + detector.window_len - hop) / rate
         events.append(
             DetectionEvent(onset_s, burst_dur, tail_dur, peak_snr, score, label)
         )
@@ -385,10 +390,13 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
 
 
 def _merge_events(events: list[DetectionEvent], merge_window_s: float) -> list[DetectionEvent]:
-    """Collapse chains of events with onset gaps < merge_window_s to the best one."""
+    """Collapse chains of events with onset gaps < merge_window_s to the best one.
+
+    ``events`` must ascend by onset, as ``detect_events`` builds them: one per
+    burst run, in run order, at an onset that grows with the run's start frame.
+    """
     if not events:
         return []
-    events = sorted(events, key=lambda e: e.onset_s)
     merged: list[DetectionEvent] = []
     cluster = [events[0]]
     for event in events[1:]:

@@ -9,12 +9,11 @@ no real facility recordings ship with this package.
 from __future__ import annotations
 
 import json
-import math
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Sequence
 
@@ -22,8 +21,8 @@ import numpy as np
 
 from . import spectral
 from .audio_io import read_wav
-from .detector import ClickDetector, DetectionEvent
-from .soundscape import GroundTruth, ShroudModel, SimConfig, apply_shroud, pink_noise, read_truth_csv
+from .detector import ClickDetector, DetectionEvent, _is_finite
+from .soundscape import GroundTruth, SimConfig, apply_shroud, pink_noise, read_truth_csv
 from .spectral import Band, band_powers, third_octave_bands
 
 __all__ = ["EvalReport", "BenchmarkResult", "DepthSweep", "match_detections", "run_benchmark", "depth_sweep"]
@@ -201,7 +200,7 @@ def _read_manifest(path: Path) -> list[dict]:
             raise ValueError(f"{path}: entry {i} is not a JSON object")
         for key, (kind, what) in required.items():
             value = entry.get(key)
-            finite = not isinstance(value, float) or math.isfinite(value)
+            finite = not isinstance(value, (int, float)) or _is_finite(value)
             if not isinstance(value, kind) or isinstance(value, bool) or not finite:
                 raise ValueError(f"{path}: entry {i}: {key!r} is missing or not {what}")
     return entries
@@ -270,11 +269,7 @@ class DepthSweep:
         return "\n".join(lines) + "\n"
 
 
-def depth_sweep(
-    model: ShroudModel,
-    depths_m: Sequence[float],
-    cfg: SimConfig,
-) -> DepthSweep:
+def depth_sweep(depths_m: Sequence[float], cfg: SimConfig) -> DepthSweep:
     """Band-power table of off-axis pink noise at each shroud inset depth.
 
     The same seeded pink noise feeds every depth, so column differences are
@@ -287,7 +282,7 @@ def depth_sweep(
     columns: list[np.ndarray] = []
     kept_bands: tuple[Band, ...] | None = None
     for depth in depths_m:
-        filtered = apply_shroud(noise, replace(model, inset_depth_m=float(depth)))
+        filtered = apply_shroud(noise, float(depth))
         profile = band_powers(filtered, bands)
         kept_bands = profile.bands
         columns.append(profile.power_db)

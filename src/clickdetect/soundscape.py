@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .detector import ClickDetector, _burst_total, _gated_band_power, _require_f
 __all__ = [
     "SimConfig",
     "GroundTruth",
-    "ShroudModel",
     "pink_noise",
     "factory_noise",
     "synth_click",
@@ -91,35 +90,26 @@ class GroundTruth:
             raise ValueError("ground-truth times must be ascending and >= 0.5 s apart")
 
 
-@dataclass(frozen=True)
-class ShroudModel:
-    """Parametric off-axis transfer of the cylindrical shroud.
+#: The shroud model: off-axis sound is shadowed progressively with inset
+#: depth (up to the full 0.6096 m) and with frequency above the corner, by
+#: the given dB per octave at full depth, up to the cap. The constants are
+#: free parameters of the model, not measured values; the model's job is to
+#: reproduce the depth ordering.
+_SHROUD_DEPTH_M = 0.6096
+_SHROUD_DB_PER_OCTAVE = 8.0
+_SHROUD_CORNER_HZ = 500.0
+_SHROUD_CAP_DB = 40.0
 
-    The shroud shadows off-axis sound progressively with inset depth and
-    frequency above a corner. Constants are free parameters of the model, not
-    measured values; the model's job is to reproduce the depth ordering.
-    """
 
-    inset_depth_m: float = 0.6096
-    attenuation_db: float = 8.0  # per octave above corner_hz at reference depth
-    corner_hz: float = 500.0
-    attenuation_cap_db: float = 40.0
-    reference_depth_m: ClassVar[float] = 0.6096
-
-    def __post_init__(self) -> None:
-        _require_finite(self, unbounded=("attenuation_cap_db",))  # an infinite cap is no cap
-        if not 0.0 <= self.inset_depth_m <= self.reference_depth_m + 1e-9:
-            raise ValueError(
-                f"inset_depth_m must lie in [0, {self.reference_depth_m}], got {self.inset_depth_m}"
-            )
-        if not self.corner_hz > 0:
-            raise ValueError(f"corner_hz must be positive, got {self.corner_hz}")
-
-    def off_axis_attenuation_db(self, f_hz) -> np.ndarray:
-        f = np.asarray(f_hz, dtype=np.float64)
-        octaves = np.log2(np.maximum(1.0, f / self.corner_hz))
-        raw = self.attenuation_db * (self.inset_depth_m / self.reference_depth_m) * octaves
-        return np.minimum(self.attenuation_cap_db, raw)
+def _off_axis_attenuation_db(f_hz, depth_m: float) -> np.ndarray:
+    """The shroud's off-axis attenuation in dB at frequencies ``f_hz`` for an
+    inset depth in [0, 0.6096] m."""
+    if not 0.0 <= depth_m <= _SHROUD_DEPTH_M + 1e-9:  # NaN fails too
+        raise ValueError(f"inset depth must lie in [0, {_SHROUD_DEPTH_M}] m, got {depth_m}")
+    f = np.asarray(f_hz, dtype=np.float64)
+    octaves = np.log2(np.maximum(1.0, f / _SHROUD_CORNER_HZ))
+    raw = _SHROUD_DB_PER_OCTAVE * (depth_m / _SHROUD_DEPTH_M) * octaves
+    return np.minimum(_SHROUD_CAP_DB, raw)
 
 
 def _shaped_noise(rng: np.random.Generator, n: int, amplitude_of_f) -> np.ndarray:
@@ -277,16 +267,17 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
     return SampleBuffer(out, rate), GroundTruth(times)
 
 
-def apply_shroud(buffer: SampleBuffer, model: ShroudModel) -> SampleBuffer:
-    """Filter off-axis sound through the shroud's depth-dependent attenuation.
+def apply_shroud(buffer: SampleBuffer, depth_m: float) -> SampleBuffer:
+    """Filter off-axis sound through the shroud's attenuation at inset depth
+    ``depth_m``, in [0, 0.6096] m.
 
     Linear (frequency-domain) except that output exceeding full scale is
     clamped.
     """
     x = buffer.samples
-    spectrum = np.fft.rfft(x)
     f = np.fft.rfftfreq(x.size, 1.0 / buffer.sample_rate_hz)
-    y = np.fft.irfft(spectrum * 10.0 ** (-model.off_axis_attenuation_db(f) / 20.0), x.size)
+    gain = 10.0 ** (-_off_axis_attenuation_db(f, depth_m) / 20.0)
+    y = np.fft.irfft(np.fft.rfft(x) * gain, x.size)
     np.clip(y, -1.0, 1.0, out=y)  # leaves in-range samples as they are
     return SampleBuffer(y, buffer.sample_rate_hz)
 
@@ -297,9 +288,10 @@ def spaced_click_times(count: int, duration_s: float, rng: np.random.Generator) 
     if count == 0:
         return ()
     usable = duration_s - 2.0 * _CLICK_MARGIN_S - CLICK_TOTAL_S
-    slack = usable - (count - 1) * _CLICK_GAP_S
-    if slack < 0:
+    # An int compares exactly with a float, so a count beyond float range fails here.
+    if count - 1 > usable / _CLICK_GAP_S:
         raise ValueError(f"cannot place {count} clicks {_CLICK_GAP_S} s apart in {duration_s} s")
+    slack = usable - (count - 1) * _CLICK_GAP_S
     offsets = np.sort(rng.uniform(0.0, slack, count))
     times = _CLICK_MARGIN_S + offsets + _CLICK_GAP_S * np.arange(count)
     return tuple(round(float(t), 6) for t in times)

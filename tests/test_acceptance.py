@@ -16,7 +16,6 @@ from clickdetect.detector import ClickDetector
 from clickdetect.evaluation import depth_sweep, match_detections, run_benchmark
 from clickdetect.soundscape import (
     GroundTruth,
-    ShroudModel,
     SimConfig,
     factory_noise,
     generate_corpus,
@@ -99,7 +98,7 @@ class TestCriterion3DepthSweepOrdering:
 
         depths = [0.0762 * k for k in range(9)]  # 0 .. 24 in by 3 in
         started = time.time()
-        table = depth_sweep(ShroudModel(), depths, SimConfig(seed=42, duration_s=16.0))
+        table = depth_sweep(depths, SimConfig(seed=42, duration_s=16.0))
         elapsed = time.time() - started
         rows = [i for i, band in enumerate(table.bands) if band.center_hz > 500.0]
         ordered = all(

@@ -11,7 +11,7 @@ import pytest
 from clickdetect.audio_io import SampleBuffer, read_wav, write_wav
 from clickdetect.cli import _DEFAULTS, _DETECTOR_KEYS, _SIM_KEYS, CONFIG_SPEC, _settings, build_parser, main
 from clickdetect.detector import ClickDetector
-from clickdetect.soundscape import ShroudModel, SimConfig, read_truth_csv
+from clickdetect.soundscape import SimConfig, read_truth_csv
 
 from conftest import RATE, raw_wav_bytes, tone
 
@@ -94,8 +94,6 @@ class TestDetect:
             ("tail_max_s", "inf"),
             ("silence_floor_db", "-inf"),
             ("tail_band_hz", "1000,inf"),
-            ("corner_hz", "inf"),
-            ("attenuation_cap_db", "-inf"),
             # finite, but 10 ** (x / 10) overflows or underflows to 0
             ("onset_threshold_db", "4000"),
             ("tail_threshold_db", "3100"),
@@ -119,11 +117,6 @@ class TestDetect:
         assert run(*command, "--set", f"{key}={value}") == 4
         assert key in capsys.readouterr().err
         assert not out.exists()  # no events file, so no NaN in one
-
-    @pytest.mark.parametrize("key", ["attenuation_cap_db"])
-    def test_infinite_cap_means_no_cap(self, tmp_path, key):
-        out = tmp_path / "sweep.csv"
-        assert run("depth-sweep", "--duration", "1", "--depths", "0.3", "--set", f"{key}=inf", "--out", str(out)) == 0
 
     def test_short_buffer_exits_4(self, tmp_path):
         path = tmp_path / "blip.wav"
@@ -149,11 +142,16 @@ class TestDetect:
         assert run(*argv) == 3
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["dish_diameter_m=0.5", "gain_cap_db=20"])
-    def test_removed_shroud_key_exits_3(self, tmp_path, setting):
-        # The dish's on-axis gain is gone, and with it the keys that set it.
+    @pytest.mark.parametrize(
+        "setting",
+        ["dish_diameter_m=0.5", "gain_cap_db=20", "attenuation_db=4", "corner_hz=3", "attenuation_cap_db=inf"],
+    )
+    def test_removed_shroud_key_exits_3(self, tmp_path, capsys, setting):
+        # The dish's on-axis gain is gone, and the shroud model's constants are
+        # no settings: no command reads these keys.
         out = tmp_path / "sweep.csv"
         assert run("depth-sweep", "--duration", "1", "--set", setting, "--out", str(out)) == 3
+        assert f"unknown configuration key {setting.split('=')[0]!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_value_exits_3(self, silence_wav):
@@ -165,6 +163,13 @@ class TestDetect:
     def test_negative_click_count_exits_4_naming_clicks(self, tmp_path, capsys):
         assert run("simulate", "--out-dir", str(tmp_path / "sim"), "--clicks", "-1", "--duration", "8") == 4
         assert "clicks" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    def test_click_count_beyond_float_range_exits_4(self, tmp_path, capsys):
+        # It used to escape as an OverflowError from the float spacing arithmetic.
+        clicks = "1" + "0" * 400
+        assert run("simulate", "--out-dir", str(tmp_path / "sim"), "--clicks", clicks, "--duration", "8") == 4
+        assert f"cannot place {clicks} clicks" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
     def test_config_file_and_set_override(self, tmp_path):
@@ -189,16 +194,13 @@ class TestConfig:
 
     def test_keys_come_from_their_owners(self):
         sim_keys = [f.name for f in dataclasses.fields(SimConfig) if f.name != "click_times_s"]
-        shroud_keys = ["attenuation_db", "corner_hz", "attenuation_cap_db"]
         detector_keys = [f.name for f in dataclasses.fields(ClickDetector)]
-        assert list(CONFIG_SPEC) == [*detector_keys, *sim_keys, "clicks", *shroud_keys]
-        assert len(CONFIG_SPEC) == 22
+        assert list(CONFIG_SPEC) == [*detector_keys, *sim_keys, "clicks"]
+        assert len(CONFIG_SPEC) == 19
         for key in detector_keys:
             assert _DEFAULTS[key] == getattr(ClickDetector, key)
         for key in sim_keys:
             assert _DEFAULTS[key] == getattr(SimConfig, key)
-        for key in shroud_keys:
-            assert _DEFAULTS[key] == getattr(ShroudModel, key)
 
     def test_readme_lists_the_detector_defaults(self):
         # Every config key, not only the detector's, with its default.
@@ -227,11 +229,11 @@ class TestConfig:
             (("depth-sweep",), "onset_threshold_db=70"),
             (("depth-sweep",), "clicks=9"),
             (("depth-sweep",), "target_snr_db=3"),
-            (("simulate", "--out-dir", "x"), "corner_hz=3"),
+            (("simulate", "--out-dir", "x"), "window_len=512"),
             (("simulate", "--out-dir", "x"), "hop=128"),
             (("spectrogram", "in.wav", "--out", "x.pgm"), "onset_threshold_db=6"),
             (("detect", "in.wav"), "seed=1"),
-            (("evaluate", "m.json"), "attenuation_db=4"),
+            (("evaluate", "m.json"), "duration_s=4"),
         ],
     )
     def test_key_the_command_does_not_read_exits_3(self, tmp_path, monkeypatch, capsys, argv, key):
@@ -416,9 +418,10 @@ class TestEvaluateCommand:
         assert run("evaluate", str(tmp_path / "nope.json"), "--jobs", jobs) == 3
         assert "--jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("snr", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("snr", ["NaN", "Infinity", pytest.param("1" + "0" * 400, id="int_beyond_float_range")])
     def test_non_finite_snr_exits_4_naming_the_entry(self, tmp_path, capsys, snr):
-        # These used to score the clip under a "+nan dB" or "+inf dB" row and exit 0.
+        # These used to score the clip under a "+nan dB" or "+inf dB" row and exit 0;
+        # the integer, to score every clip and then exit 1 with an OverflowError.
         sim = tmp_path / "sim"
         assert run("simulate", "--out-dir", str(sim), "--clicks", "1", "--duration", "8", "--seed", "8") == 0
         manifest = sim / "manifest.json"

@@ -370,6 +370,26 @@ class TestDetectEvents:
         assert near[0].label == "other_transient"
         assert near[0].tail_duration_s < 0.1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_label_is_the_tail_gate(self, seed):
+        # A burst 5 dB over white noise, found with a 3 dB onset gate, then a
+        # 0.15 s 1-6 kHz tail: the tail passes its gate, so the event is a
+        # click although its score (peak SNR ~5.5 dB, ~0.14 s of tail) is under 0.5.
+        rng = np.random.default_rng(seed)
+        x = 0.01 * rng.standard_normal(6 * RATE)
+        i0, n_burst, n_tail = 3 * RATE, round(0.05 * RATE), round(0.15 * RATE)
+        x[i0 : i0 + n_burst] += 0.01 * 10 ** (5 / 20) * rng.standard_normal(n_burst)
+        spectrum = np.fft.rfft(rng.standard_normal(n_tail))
+        f = np.fft.rfftfreq(n_tail, 1 / RATE)
+        spectrum[(f < 1000) | (f > 6000)] = 0
+        tail = np.fft.irfft(spectrum, n_tail)
+        x[i0 + n_burst : i0 + n_burst + n_tail] += 0.05 / np.sqrt(np.mean(tail**2)) * tail
+        detector = ClickDetector(onset_threshold_db=3.0)
+        [event] = detector.predict(SampleBuffer(x, RATE))
+        assert detector.tail_min_s <= event.tail_duration_s <= detector.tail_max_s
+        assert 0.3 < event.score < 0.5
+        assert event.label == "connection_click"
+
     def test_injected_snr_measured_back(self):
         # detector's peak_snr_db vs the mixer's target, stationary noise
         for seed, target in ((104, 15.0), (105, 18.0)):

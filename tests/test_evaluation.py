@@ -9,7 +9,7 @@ import pytest
 from clickdetect.detector import ClickDetector, DetectionEvent
 from clickdetect import evaluation, spectral
 from clickdetect.evaluation import EvalReport, depth_sweep, match_detections, run_benchmark
-from clickdetect.soundscape import GroundTruth, ShroudModel, SimConfig, generate_corpus, pink_noise
+from clickdetect.soundscape import GroundTruth, SimConfig, generate_corpus, pink_noise
 from clickdetect.spectral import band_powers, third_octave_bands
 
 from conftest import RATE, raw_wav_bytes
@@ -227,11 +227,14 @@ class TestRunBenchmark:
             ([{"wav_path": "missing.wav", "truth_path": "t.csv", "snr_db": 6.0},
               {"wav_path": "x.wav", "truth_path": "t.csv", "snr_db": math.inf}], "entry 1: 'snr_db' .* finite"),
             ([{"wav_path": "x.wav", "truth_path": "t.csv", "snr_db": -math.inf}], "entry 0: 'snr_db' .* finite"),
+            ([{"wav_path": "missing.wav", "truth_path": "t.csv", "snr_db": 6.0},
+              {"wav_path": "x.wav", "truth_path": "t.csv", "snr_db": 10**400}], "entry 1: 'snr_db' .* finite"),
             ({"a": 1}, "JSON list"),
             (5, "JSON list"),
         ],
         ids=["no_truth_path", "not_an_object", "no_snr_db_after_a_bad_clip", "text_snr_db",
-             "nan_snr_db", "infinite_snr_db_after_a_bad_clip", "negative_infinite_snr_db", "object", "number"],
+             "nan_snr_db", "infinite_snr_db_after_a_bad_clip", "negative_infinite_snr_db",
+             "int_beyond_float_range_snr_db_after_a_bad_clip", "object", "number"],
     )
     def test_malformed_manifest_rejected_before_any_clip(self, tmp_path, entries, named):
         manifest = tmp_path / "m.json"
@@ -251,14 +254,14 @@ class TestRunBenchmark:
 class TestDepthSweep:
     def test_zero_depth_matches_plain_pink(self):
         cfg = SimConfig(seed=21, duration_s=4.0)
-        table = depth_sweep(ShroudModel(), [0.0], cfg)
+        table = depth_sweep([0.0], cfg)
         plain = band_powers(pink_noise(cfg), third_octave_bands(100, RATE / 2))
         np.testing.assert_allclose(table.power_db[:, 0], plain.power_db, atol=0.1)
 
     def test_columns_ordered_by_depth(self):
         cfg = SimConfig(seed=22, duration_s=4.0)
         depths = [0.0, 0.3048, 0.6096]
-        table = depth_sweep(ShroudModel(), depths, cfg)
+        table = depth_sweep(depths, cfg)
         assert table.power_db.shape == (len(table.bands), 3)
         rows_above = [i for i, b in enumerate(table.bands) if b.center_hz > 500]
         for i in rows_above:
@@ -267,11 +270,11 @@ class TestDepthSweep:
 
     def test_csv_shape(self):
         cfg = SimConfig(seed=23, duration_s=4.0)
-        table = depth_sweep(ShroudModel(), [0.0, 0.1524], cfg)
+        table = depth_sweep([0.0, 0.1524], cfg)
         lines = table.as_csv().strip().splitlines()
         assert lines[0] == "center_hz,depth_0.0000m,depth_0.1524m"
         assert len(lines) == len(table.bands) + 1
 
     def test_empty_depths_rejected(self):
         with pytest.raises(ValueError):
-            depth_sweep(ShroudModel(), [], SimConfig(seed=1, duration_s=2.0))
+            depth_sweep([], SimConfig(seed=1, duration_s=2.0))

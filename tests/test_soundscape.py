@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -8,9 +7,9 @@ import pytest
 from clickdetect.audio_io import SampleBuffer, read_wav
 from clickdetect.soundscape import (
     GroundTruth,
-    ShroudModel,
     SimConfig,
     _factory_parts,
+    _off_axis_attenuation_db,
     apply_shroud,
     factory_noise,
     generate_corpus,
@@ -290,7 +289,7 @@ class TestShroud:
     def test_depth_zero_off_axis_is_identity(self):
         cfg = SimConfig(seed=18, duration_s=2.0)
         noise = pink_noise(cfg)
-        out = apply_shroud(noise, ShroudModel(inset_depth_m=0.0))
+        out = apply_shroud(noise, 0.0)
         bands = third_octave_bands(100, 20000)
         a = band_powers(noise, bands).power_db
         b = band_powers(out, bands).power_db
@@ -299,42 +298,36 @@ class TestShroud:
     def test_linearity(self, rng):
         a = SampleBuffer(0.01 * rng.standard_normal(RATE), RATE)
         b = SampleBuffer(0.01 * rng.standard_normal(RATE), RATE)
-        model = ShroudModel()
-        both = apply_shroud(SampleBuffer(a.samples + b.samples, RATE), model)
-        separate = apply_shroud(a, model).samples + apply_shroud(b, model).samples
+        both = apply_shroud(SampleBuffer(a.samples + b.samples, RATE), 0.6096)
+        separate = apply_shroud(a, 0.6096).samples + apply_shroud(b, 0.6096).samples
         scale = float(np.abs(both.samples).max())
         np.testing.assert_allclose(both.samples, separate, atol=scale * 1e-9)
 
     def test_off_axis_attenuation_monotone(self):
-        model = ShroudModel()
         freqs = np.array([250.0, 500.0, 1000.0, 4000.0, 16000.0])
         depths = [0.0, 0.1524, 0.3048, 0.4572, 0.6096]
         prev = None
         for depth in depths:
-            att = dataclasses.replace(model, inset_depth_m=depth).off_axis_attenuation_db(freqs)
+            att = _off_axis_attenuation_db(freqs, depth)
             assert (att >= 0).all()
             if prev is not None:
                 assert (att >= prev).all()
             prev = att
-        att = model.off_axis_attenuation_db(freqs)  # the default depth is 0.6096 m
         assert all(b >= a for a, b in zip(att, att[1:]))  # monotone in frequency
-        assert float(model.off_axis_attenuation_db(1e9)) == 40.0  # capped
+        assert float(_off_axis_attenuation_db(1e9, 0.6096)) == 40.0  # capped
 
     def test_full_depth_reference_value(self):
         # 8 dB per octave above 500 Hz at the 0.6096 m reference depth
-        model = ShroudModel(inset_depth_m=0.6096)
-        half = ShroudModel(inset_depth_m=0.3048)
-        assert float(model.off_axis_attenuation_db(1000.0)) == pytest.approx(8.0, abs=1e-9)
-        assert float(half.off_axis_attenuation_db(4000.0)) == pytest.approx(12.0, abs=1e-9)
+        assert float(_off_axis_attenuation_db(1000.0, 0.6096)) == pytest.approx(8.0, abs=1e-9)
+        assert float(_off_axis_attenuation_db(4000.0, 0.3048)) == pytest.approx(12.0, abs=1e-9)
 
     def test_invalid_depth_rejected(self):
-        with pytest.raises(ValueError):
-            ShroudModel(inset_depth_m=0.7)
-
-    @pytest.mark.parametrize("name", ["attenuation_db", "corner_hz", "attenuation_cap_db"])
-    def test_nan_rejected_by_name(self, name):
-        with pytest.raises(ValueError, match=name):
-            ShroudModel(**{name: math.nan})
+        noise = SampleBuffer(np.zeros(64), RATE)
+        for depth in (0.7, -0.1, math.nan):
+            with pytest.raises(ValueError, match="inset depth"):
+                apply_shroud(noise, depth)
+            with pytest.raises(ValueError, match="inset depth"):
+                _off_axis_attenuation_db(1000.0, depth)
 
 
 class TestSpacedClickTimes:
