@@ -1,9 +1,10 @@
 """WAV file I/O and the canonical mono sample buffer.
 
-Every other module operates on :class:`SampleBuffer`: mono float64 samples in
-[-1, 1] plus an integer sample rate. Stereo input is averaged to mono at read
-time; there is no resampling, so mixing buffers of different rates is an error
-at the point of mixing.
+Every other module operates on :class:`SampleBuffer`: mono float32 or float64
+samples in [-1, 1] plus an integer sample rate. ``read_wav`` returns float32
+whenever float32 holds every mono sample exactly; synthesis makes float64.
+Stereo input is averaged to mono at read time; there is no resampling, so
+mixing buffers of different rates is an error at the point of mixing.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class SampleBuffer:
     Attributes
     ----------
     samples : np.ndarray
-        1-D float64 array, every value finite and within [-1, 1].
+        1-D float32 or float64 array, every value finite and within [-1, 1].
+        A float32 array is kept as float32; anything else becomes float64.
     sample_rate_hz : int
         Positive rate, at least ``MIN_SAMPLE_RATE_HZ``.
     """
@@ -54,7 +56,9 @@ class SampleBuffer:
     sample_rate_hz: int
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        if samples.dtype != np.float32:
+            samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
         # min and max propagate NaN, so two reductions check both bounds
@@ -100,6 +104,11 @@ def read_wav(path: str | Path) -> SampleBuffer:
     averaged to mono. The file is never held whole: the data chunk is decoded
     about 256 KiB at a time straight into the returned samples.
 
+    The samples are float32, which holds each mono sample exactly: k / 2^15,
+    k / 2^23, a clamped float32 value, or the mean of two PCM samples (a 17-
+    or 25-bit sum over a power of two). The one exception is stereo float
+    data, whose mean of two float32 values needs float64.
+
     Raises
     ------
     FileNotFoundError
@@ -114,7 +123,8 @@ def read_wav(path: str | Path) -> SampleBuffer:
         wav = _read_header(f, path)
         frame_bytes = wav.n_channels * wav.bits // 8
         per_piece = _PIECE_BYTES // frame_bytes
-        samples = np.empty(wav.data_bytes // frame_bytes)
+        stereo_float = wav.format_tag == _FMT_IEEE_FLOAT and wav.n_channels == 2
+        samples = np.empty(wav.data_bytes // frame_bytes, np.float64 if stereo_float else np.float32)
         piece = memoryview(bytearray(per_piece * frame_bytes))
         f.seek(wav.data_start)
         for start in range(0, samples.size, per_piece):
@@ -212,9 +222,10 @@ def _decode(raw: memoryview, wav: _WavLayout, out: np.ndarray, path: Path) -> No
     """Decode whole frames of data-chunk bytes into ``out``, one mono sample per frame.
 
     Every step is exact or elementwise, so a sample's bits do not depend on
-    where the pieces are cut.
+    where the pieces are cut. Each step is also exact in ``out``'s type, the
+    one ``read_wav`` chose for the format.
     """
-    dest = out if wav.n_channels == 1 else np.empty(2 * out.size)
+    dest = out if wav.n_channels == 1 else np.empty(2 * out.size, out.dtype)
     if wav.format_tag == _FMT_IEEE_FLOAT:
         floats = np.frombuffer(raw, dtype="<f4")
         if floats.size and math.isnan(floats.max()):  # max propagates NaN
@@ -223,13 +234,14 @@ def _decode(raw: memoryview, wav: _WavLayout, out: np.ndarray, path: Path) -> No
         np.clip(floats, -1.0, 1.0, out=dest)
     elif wav.bits == 16:
         # 1/32768 is a power of two: the product is the quotient, bit for bit.
-        np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / 32768.0, out=dest)
+        # Every int16 is exact in float32, so the product is computed in dest's type.
+        np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / 32768.0, out=dest, dtype=dest.dtype)
     else:  # 24-bit PCM
         b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.uint32)
         u = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
         signed = u.astype(np.int32)
         signed[signed >= 1 << 23] -= 1 << 24
-        np.divide(signed, float(1 << 23), out=dest)
+        np.divide(signed, float(1 << 23), out=dest, dtype=dest.dtype)  # |signed| <= 2^23: exact in float32
     if wav.n_channels == 2:
         _mono(dest.reshape(-1, 2), out=out)
 
@@ -259,7 +271,7 @@ def write_wav(buffer: SampleBuffer, path: str | Path) -> None:
     with Path(path).open("wb") as f:
         f.write(header)
         for start in range(0, samples.size, per_piece):
-            x = samples[start : start + per_piece] * 32768.0
+            x = samples[start : start + per_piece] * 32768.0  # exact in float32 and float64
             f.write(np.clip(np.rint(x, out=x), -32768, 32767, out=x).astype("<i2"))
 
 

@@ -112,10 +112,18 @@ def _off_axis_attenuation_db(f_hz, depth_m: float) -> np.ndarray:
     return np.minimum(_SHROUD_CAP_DB, raw)
 
 
+def _owned_buffer(x: np.ndarray, sample_rate_hz: int) -> SampleBuffer:
+    """Wrap an array that nothing else holds: frozen first, SampleBuffer need not copy it."""
+    x.flags.writeable = False
+    return SampleBuffer(x, sample_rate_hz)
+
+
 def _shaped_noise(rng: np.random.Generator, n: int, amplitude_of_f) -> np.ndarray:
     """Real noise whose spectral amplitude follows ``amplitude_of_f`` (rfft grid)."""
     n_bins = n // 2 + 1
-    spectrum = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    spectrum = np.empty(n_bins, dtype=np.complex128)
+    spectrum.real = rng.standard_normal(n_bins)  # each draw is freed once copied in
+    spectrum.imag = rng.standard_normal(n_bins)
     spectrum *= amplitude_of_f
     spectrum[0] = 0.0
     if n % 2 == 0:
@@ -134,12 +142,17 @@ def pink_noise(cfg: SimConfig) -> SampleBuffer:
     f = np.fft.rfftfreq(n, 1.0 / cfg.sample_rate_hz)
     x = _shaped_noise(rng, n, 1.0 / np.sqrt(np.maximum(f, 20.0)))
     x *= 0.1 / math.sqrt(float(np.mean(x**2)))
-    return SampleBuffer(x, cfg.sample_rate_hz)
+    return _owned_buffer(x, cfg.sample_rate_hz)
 
 
 def _lowpass_amplitude(f: np.ndarray, cutoff_hz: float = 5000.0, order: int = 6) -> np.ndarray:
     # Butterworth magnitude: -3 dB at the cutoff, 6*order dB/octave above.
-    return 1.0 / np.sqrt(1.0 + (f / cutoff_hz) ** (2 * order))
+    # 1 / sqrt(1 + (f / cutoff) ** (2 * order)), one step at a time in one array.
+    amplitude = f / cutoff_hz
+    amplitude **= 2 * order
+    amplitude += 1.0
+    np.sqrt(amplitude, out=amplitude)
+    return np.divide(1.0, amplitude, out=amplitude)
 
 
 def _factory_parts(cfg: SimConfig):
@@ -147,8 +160,8 @@ def _factory_parts(cfg: SimConfig):
     n = round(cfg.duration_s * cfg.sample_rate_hz)
     rate = cfg.sample_rate_hz
     rng = np.random.default_rng(cfg.seed)
-    f = np.fft.rfftfreq(n, 1.0 / rate)
-    x = _shaped_noise(rng, n, _lowpass_amplitude(f))  # the floor; transients add in place
+    # The floor; transients add in place. The frequency grid is freed before the noise is drawn.
+    x = _shaped_noise(rng, n, _lowpass_amplitude(np.fft.rfftfreq(n, 1.0 / rate)))
     x *= FACTORY_FLOOR_RMS / math.sqrt(float(np.mean(x**2)))
 
     events: list[tuple[float, float, float]] = []
@@ -185,7 +198,7 @@ def factory_noise(cfg: SimConfig) -> SampleBuffer:
     ramps and, deliberately, no tail.
     """
     x, _ = _factory_parts(cfg)
-    return SampleBuffer(x, cfg.sample_rate_hz)
+    return _owned_buffer(x, cfg.sample_rate_hz)
 
 
 def synth_click(sample_rate_hz: int, seed: int = 0) -> SampleBuffer:
@@ -228,7 +241,7 @@ def synth_click(sample_rate_hz: int, seed: int = 0) -> SampleBuffer:
     x[:n_burst] = burst
     x[n_burst : n_burst + n_tail] = tail
     x *= 0.5 / float(np.max(np.abs(x)))
-    return SampleBuffer(x, rate)
+    return _owned_buffer(x, rate)
 
 
 def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tuple[SampleBuffer, GroundTruth]:
@@ -252,7 +265,7 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
         if i0 < 0 or i0 + n_click > len(noise):
             raise ValueError(f"click at {t} s overruns the {noise.duration_s:.3f} s noise buffer")
 
-    out = noise.samples.copy()
+    out = noise.samples.astype(np.float64)  # a copy, so float32 noise is mixed in float64
     if times:
         detector = ClickDetector()
         noise_ref = float(_burst_total(*_gated_band_power(noise, detector)).mean())
@@ -260,11 +273,11 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
             raise ValueError("noise has no measurable burst-band power to reference the SNR to")
         click_peak = float(_burst_total(*_gated_band_power(click, detector)).max())
         gain = math.sqrt(10.0 ** (cfg.target_snr_db / 10.0) * noise_ref / click_peak)
-        scaled = gain * click.samples
+        scaled = np.multiply(click.samples, gain, dtype=np.float64)
         for i0 in starts:
             out[i0 : i0 + n_click] += scaled
         np.clip(out, -1.0, 1.0, out=out)  # leaves in-range samples as they are
-    return SampleBuffer(out, rate), GroundTruth(times)
+    return _owned_buffer(out, rate), GroundTruth(times)
 
 
 def apply_shroud(buffer: SampleBuffer, depth_m: float) -> SampleBuffer:
@@ -274,12 +287,13 @@ def apply_shroud(buffer: SampleBuffer, depth_m: float) -> SampleBuffer:
     Linear (frequency-domain) except that output exceeding full scale is
     clamped.
     """
-    x = buffer.samples
+    # numpy transforms float32 in float32; widened, the output keeps float64 bits.
+    x = np.asarray(buffer.samples, dtype=np.float64)
     f = np.fft.rfftfreq(x.size, 1.0 / buffer.sample_rate_hz)
     gain = 10.0 ** (-_off_axis_attenuation_db(f, depth_m) / 20.0)
     y = np.fft.irfft(np.fft.rfft(x) * gain, x.size)
     np.clip(y, -1.0, 1.0, out=y)  # leaves in-range samples as they are
-    return SampleBuffer(y, buffer.sample_rate_hz)
+    return _owned_buffer(y, buffer.sample_rate_hz)
 
 
 def spaced_click_times(count: int, duration_s: float, rng: np.random.Generator) -> tuple[float, ...]:

@@ -130,8 +130,10 @@ class Spectrogram:
             for block in range(first, n_blocks, n_workers):
                 start = block * height
                 rows = frames[start : start + height]
-                np.multiply(rows, window, out=windowed[: len(rows)])
-                results[block] = fn(start, _onesided_power(windowed[: len(rows)], out=power[: len(rows)]))
+                block_windowed = windowed[: len(rows)]
+                np.copyto(block_windowed, rows)  # widens float32 samples exactly
+                block_windowed *= window
+                results[block] = fn(start, _onesided_power(block_windowed, out=power[: len(rows)]))
 
         with ThreadPoolExecutor(n_workers) as pool:  # starts one thread per submit: none for one worker
             helpers = [pool.submit(work, k) for k in range(1, n_workers)]
@@ -251,7 +253,8 @@ def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile
     kept = _bands_within_nyquist(bands, buffer.sample_rate_hz)
     if not kept:
         raise ValueError("every band lies above Nyquist")
-    x = buffer.samples
+    # numpy transforms float32 in float32; widened, the periodogram keeps float64 bits.
+    x = np.asarray(buffer.samples, dtype=np.float64)
     n = x.size
     periodogram = _onesided_power(x[np.newaxis, :])[0] / (n * n)  # sums to mean(x^2)
     freqs = np.arange(periodogram.size) * (buffer.sample_rate_hz / n)

@@ -57,9 +57,24 @@ class TestSampleBuffer:
         assert SampleBuffer(view, RATE).samples is not view
 
     def test_frozen_owned_array_is_kept(self):
-        x = np.zeros(8)
-        x.flags.writeable = False
-        assert SampleBuffer(x, RATE).samples is x
+        for dtype in (np.float64, np.float32):
+            x = np.zeros(8, dtype)
+            x.flags.writeable = False
+            assert SampleBuffer(x, RATE).samples is x
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            (np.array([0.5, -0.25], np.float32), np.float32),
+            (np.array([0.5, -0.25]), np.float64),
+            (np.array([0.5, -0.25], np.float16), np.float64),
+            (np.array([0, 1], np.int16), np.float64),
+            ([0.5, -0.25], np.float64),
+        ],
+        ids=["float32", "float64", "float16", "int16", "list"],
+    )
+    def test_float32_kept_anything_else_float64(self, values, dtype):
+        assert SampleBuffer(values, RATE).samples.dtype == dtype
 
     def test_duration_exact(self):
         buf = SampleBuffer(np.zeros(96000), RATE)
@@ -87,7 +102,7 @@ class TestReadWav:
         path = tmp_path / "square.wav"
         path.write_bytes(raw_wav_bytes(payload))
         buf = read_wav(path)
-        assert set(np.round(buf.samples, 10)) == {round(32767 / 32768, 10), -1.0}
+        assert set(buf.samples.tolist()) == {32767 / 32768, -1.0}
 
     def test_stereo_averages_to_mono(self, tmp_path):
         left, right = 16384, -16384  # +0.5 / -0.5
@@ -108,6 +123,34 @@ class TestReadWav:
         path.write_bytes(raw_wav_bytes(payload, bits=24))
         buf = read_wav(path)
         np.testing.assert_allclose(buf.samples, [0.5, -1.0])
+
+    # Frames at the edges of each format's range, and their exact mono values.
+    # The stereo float mean 0.5 + 2^-31 is not a float32: that format stays float64.
+    DTYPES = [
+        pytest.param(1, 16, [(32767,), (-32768,), (1,)], np.float32, id="pcm16-mono"),
+        pytest.param(1, 16, [(32767, 32766), (-32768, -32768), (1, 0)], np.float32, id="pcm16-stereo"),
+        pytest.param(1, 24, [(2**23 - 1,), (-(2**23),), (1,)], np.float32, id="pcm24-mono"),
+        pytest.param(1, 24, [(2**23 - 1, 2**23 - 2), (-(2**23), -(2**23)), (1, 0)], np.float32, id="pcm24-stereo"),
+        pytest.param(3, 32, [(0.1,), (2.0,), (2.0**-30,)], np.float32, id="float32-mono"),
+        pytest.param(3, 32, [(1.0, 2.0**-30), (-2.0, 0.1), (0.1, 0.1)], np.float64, id="float32-stereo"),
+    ]
+
+    @pytest.mark.parametrize("fmt, bits, frames, dtype", DTYPES)
+    def test_sample_dtype_holds_every_mono_sample_exactly(self, tmp_path, fmt, bits, frames, dtype):
+        channels = len(frames[0])
+        values = [v for frame in frames for v in frame]
+        if fmt == 3:
+            payload = np.array(values, "<f4").tobytes()
+            wide = np.clip(np.array(values, "<f4").astype(np.float64), -1.0, 1.0)
+        else:
+            payload = b"".join(struct.pack("<i", v)[: bits // 8] for v in values)
+            wide = np.array(values, np.float64) / 2.0 ** (bits - 1)
+        path = tmp_path / "edges.wav"
+        path.write_bytes(raw_wav_bytes(payload, fmt=fmt, channels=channels, bits=bits))
+        buf = read_wav(path)
+        assert buf.samples.dtype == dtype
+        # Python floats: the float64 mean of each frame, computed apart from the reader.
+        assert buf.samples.tolist() == [sum(frame) / channels for frame in wide.reshape(-1, channels).tolist()]
 
     def test_float32_clamped(self, tmp_path):
         payload = struct.pack("<3f", 0.25, 1.75, -2.0)

@@ -97,9 +97,11 @@ def read_wav_whole(path: str | Path) -> SampleBuffer:
 
 
 def outcome(read, path) -> tuple:
-    """What a reader makes of a file: its rate and sample bytes, or its error text."""
+    """What a reader makes of a file: its rate and its samples' values as
+    float64 bytes, or its error text. Widening is exact, so float32 samples
+    compare bit for bit with the reference's float64 ones."""
     try:
         buffer = read(path)
     except WavFormatError as exc:
         return ("error", str(exc))
-    return (buffer.sample_rate_hz, buffer.samples.tobytes())
+    return (buffer.sample_rate_hz, buffer.samples.astype(np.float64).tobytes())
