@@ -90,11 +90,6 @@ class SampleBuffer:
         return self.samples.size / self.sample_rate_hz
 
 
-def _mono(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Average the channels of [frames x channels]; linear, so mono(a + b) = mono(a) + mono(b)."""
-    return frames.mean(axis=1, out=out)
-
-
 def read_wav(path: str | Path) -> SampleBuffer:
     """Read a PCM WAV file into a mono SampleBuffer.
 
@@ -243,7 +238,7 @@ def _decode(raw: memoryview, wav: _WavLayout, out: np.ndarray, path: Path) -> No
         signed[signed >= 1 << 23] -= 1 << 24
         np.divide(signed, float(1 << 23), out=dest, dtype=dest.dtype)  # |signed| <= 2^23: exact in float32
     if wav.n_channels == 2:
-        _mono(dest.reshape(-1, 2), out=out)
+        dest.reshape(-1, 2).mean(axis=1, out=out)
 
 
 def write_wav(buffer: SampleBuffer, path: str | Path) -> None:

@@ -20,7 +20,7 @@ from .audio_io import WavFormatError, read_wav
 from .detector import ClickDetector
 from .evaluation import _read_manifest, depth_sweep, run_benchmark
 from .soundscape import _SHROUD_DEPTH_M, SimConfig, _write_clip
-from .spectral import _check_framing, band_powers, spectrogram_image, stft, third_octave_bands
+from .spectral import band_powers, spectrogram_image, stft, third_octave_bands
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -92,8 +92,8 @@ def load_config(path: str | None, set_args: list[str] | None) -> dict:
     merged: dict = {}
     if path:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -158,10 +158,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    settings = _settings(args, ("window_len", "hop"))
-    _check_framing(settings["window_len"], settings["hop"])  # before the input is read, as in detect
-    buffer = read_wav(args.input)
-    spec = stft(buffer, settings["window_len"], settings["hop"])
+    framing = ClickDetector(**_settings(args, ("window_len", "hop")))  # checked before the input is read
+    spec = stft(read_wav(args.input), framing.window_len, framing.hop)
     spectrogram_image(spec, args.out, db_floor=args.floor_db)
     return EXIT_OK
 

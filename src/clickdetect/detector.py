@@ -31,7 +31,6 @@ from .spectral import _bands_within_nyquist, _check_framing, frame_band_powers, 
 
 __all__ = [
     "DetectionEvent",
-    "snr_db",
     "ClickDetector",
 ]
 
@@ -155,21 +154,6 @@ class DetectionEvent:
             "score": round(self.score, 6),
             "label": self.label,
         }
-
-
-def snr_db(event_power: float, background_power: float) -> float:
-    """10*log10(event power / background power), both in linear power units.
-
-    A zero background with positive event power returns +inf as a documented
-    sentinel; zero event power returns -inf.
-    """
-    if event_power < 0 or background_power < 0:
-        raise ValueError("powers must be non-negative")
-    if background_power == 0.0:
-        return math.inf if event_power > 0 else -math.inf
-    if event_power == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(event_power / background_power)
 
 
 #: Frames whose gates one sorted window settles at once (``_background_and_flags``).
@@ -355,7 +339,9 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
     # only over the gated bands.
     band_power, n_burst = _gated_band_power(buffer, detector)
     hop, rate = detector.hop, buffer.sample_rate_hz
-    win = max(2, round(detector.background_window_s / (hop / rate)))
+    # A window as long as the recording already holds every earlier frame, so
+    # capping there changes nothing and keeps a huge window's count finite.
+    win = max(2, round(min(detector.background_window_s / (hop / rate), len(band_power))))
     burst_mask, tail_mask, burst_total = _background_and_flags(band_power, n_burst, detector, win)
     clean = ~(burst_mask | tail_mask)
     clean_frames = np.flatnonzero(clean)
@@ -378,7 +364,7 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
         med = _median(_clean_window(band_power, clean, start, win)[1], carry)
         reference = float(_burst_reference(med, n_burst, detector))
         excess = float(burst_total[start:stop].max()) - reference
-        peak_snr = snr_db(max(excess, 0.0), reference)
+        peak_snr = 10.0 * math.log10(excess / reference) if excess > 0.0 else -math.inf
         score = 0.5 * _clamp01(peak_snr / 20.0) + 0.5 * _clamp01(tail_dur / 0.3)
         label: Label = "connection_click" if tail_ok else "other_transient"
         onset_s = (start * hop + detector.window_len - hop) / rate
@@ -395,16 +381,10 @@ def _merge_events(events: list[DetectionEvent], merge_window_s: float) -> list[D
     ``events`` must ascend by onset, as ``detect_events`` builds them: one per
     burst run, in run order, at an onset that grows with the run's start frame.
     """
-    if not events:
-        return []
-    merged: list[DetectionEvent] = []
-    cluster = [events[0]]
-    for event in events[1:]:
-        if event.onset_s - cluster[-1].onset_s < merge_window_s:
-            cluster.append(event)
+    clusters: list[list[DetectionEvent]] = []
+    for event in events:
+        if clusters and event.onset_s - clusters[-1][-1].onset_s < merge_window_s:
+            clusters[-1].append(event)
         else:
-            merged.append(max(cluster, key=lambda e: (e.score, -e.onset_s)))
-            cluster = [event]
-    merged.append(max(cluster, key=lambda e: (e.score, -e.onset_s)))
-    return merged
-
+            clusters.append([event])
+    return [max(cluster, key=lambda e: (e.score, -e.onset_s)) for cluster in clusters]

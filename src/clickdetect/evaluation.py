@@ -30,11 +30,6 @@ __all__ = ["EvalReport", "BenchmarkResult", "DepthSweep", "match_detections", "r
 #: How far a detection's onset may lie from a truth's time and still match it.
 _TOLERANCE_S = 0.25
 
-BENCHMARK_NOTE = (
-    "Synthetic benchmark corpus (seeded generators); no factory recordings are "
-    "distributed with this package."
-)
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -118,7 +113,10 @@ class BenchmarkResult:
     clip_count: int
     audio_seconds: float
     runtime_s: float
-    note: ClassVar[str] = BENCHMARK_NOTE
+    note: ClassVar[str] = (
+        "Synthetic benchmark corpus (seeded generators); no factory recordings are "
+        "distributed with this package."
+    )
 
     def to_json_dict(self) -> dict:
         return {

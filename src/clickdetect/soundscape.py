@@ -9,6 +9,7 @@ reproducible. Absolute levels are digital full-scale, never calibrated SPL.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -66,8 +67,12 @@ class SimConfig:
         object.__setattr__(self, "click_times_s", tuple(float(t) for t in self.click_times_s))
         _require_finite(self)
         _require_power(self, ("target_snr_db",))
-        if not self.duration_s > 0.0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        samples = self.duration_s * self.sample_rate_hz  # the generators draw round(samples)
+        if not (math.isfinite(samples) and round(samples) >= 2):
+            raise ValueError(
+                f"duration_s must give a finite count of at least 2 samples at {self.sample_rate_hz} Hz, "
+                f"got {self.duration_s} s"
+            )
         if not self.transient_rate_hz >= 0.0:
             raise ValueError(f"transient_rate_hz must be >= 0, got {self.transient_rate_hz}")
         if any(not 0.0 <= t <= self.duration_s for t in self.click_times_s):
@@ -322,22 +327,24 @@ def write_truth_csv(truth: GroundTruth, path: str | Path) -> None:
 def read_truth_csv(path: str | Path) -> GroundTruth:
     """Read a ``time_s,label`` CSV of connection clicks; errors name the file,
     and a bad row its line."""
+    try:
+        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if next(reader, None) != ["time_s", "label"]:
+        raise ValueError(f"{path}: expected header 'time_s,label'")
     times = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        if next(reader, None) != ["time_s", "label"]:
-            raise ValueError(f"{path}: expected header 'time_s,label'")
-        for row in reader:
-            try:
-                text, label = row
-                t = float(text)
-                if not math.isfinite(t):
-                    raise ValueError(f"time_s must be finite, got {text!r}")
-                if label != "connection_click":
-                    raise ValueError(f"label must be 'connection_click', got {label!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-            times.append(t)
+    for row in reader:
+        try:
+            text, label = row
+            t = float(text)
+            if not math.isfinite(t):
+                raise ValueError(f"time_s must be finite, got {text!r}")
+            if label != "connection_click":
+                raise ValueError(f"label must be 'connection_click', got {label!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+        times.append(t)
     try:
         return GroundTruth(tuple(times))
     except ValueError as exc:

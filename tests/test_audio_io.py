@@ -11,7 +11,6 @@ from clickdetect.audio_io import (
     _PIECE_BYTES,
     SampleBuffer,
     WavFormatError,
-    _mono,
     read_wav,
     slice_buffer,
     write_wav,
@@ -405,8 +404,3 @@ class TestSlice:
         direct = slice_buffer(buf, 2.0, 3.0)
         np.testing.assert_array_equal(nested.samples, direct.samples)
 
-
-def test_mono_conversion_is_linear(rng):
-    a = rng.uniform(-0.4, 0.4, (64, 2))
-    b = rng.uniform(-0.4, 0.4, (64, 2))
-    np.testing.assert_allclose(_mono(a + b), _mono(a) + _mono(b), atol=1e-15)

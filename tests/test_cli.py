@@ -154,6 +154,10 @@ class TestDetect:
         assert f"unknown configuration key {setting.split('=')[0]!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tail_band_between_band_centers_exits_4(self, silence_wav, capsys):
+        assert run("detect", str(silence_wav), "--set", "tail_band_hz=1050,1200") == 4
+        assert "no band centered inside tail_band_hz=(1050.0, 1200.0)" in capsys.readouterr().err
+
     def test_bad_value_exits_3(self, silence_wav):
         assert run("detect", str(silence_wav), "--set", "onset_threshold_db=loud") == 3
 
@@ -244,6 +248,27 @@ class TestConfig:
             assert run(*argv, *option) == 3
             err = capsys.readouterr().err
             assert argv[0] in err and key.split("=")[0] in err
+
+    @pytest.mark.parametrize(
+        "config, setting, message",
+        [
+            (None, "tail_band_hz=1000", "bad value for tail_band_hz: expected two comma-separated numbers"),
+            (None, "onset_threshold_db", "--set expects key=value, got 'onset_threshold_db'"),
+            (b"onset_threshold_db 6\n", None, "c.cfg:1: expected 'key = value'"),
+            (b"onset_threshold_db = 6 \xb0\n", None, "cannot read config file"),
+            ("directory", None, "cannot read config file"),
+        ],
+        ids=["bad_pair", "set_without_equals", "line_without_equals", "not_utf8", "unreadable"],
+    )
+    def test_malformed_config_exits_3(self, silence_wav, tmp_path, capsys, config, setting, message):
+        cfg = tmp_path / "c.cfg"
+        if config == "directory":
+            cfg.mkdir()
+        elif config is not None:
+            cfg.write_bytes(config)
+        option = ("--set", setting) if setting else ("--config", str(cfg))
+        assert run("detect", str(silence_wav), *option) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -408,6 +433,13 @@ class TestEvaluateCommand:
         (sim / "truth.csv").write_text("time_s,label\nnan,connection_click\n")
         assert run("evaluate", str(sim / "manifest.json")) == 4
         assert "truth.csv:2" in capsys.readouterr().err
+
+    def test_undecodable_truth_exits_4_naming_the_file(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert run("simulate", "--out-dir", str(sim), "--clicks", "1", "--duration", "8", "--seed", "8") == 0
+        (sim / "truth.csv").write_bytes(b"time_s,label\n\xff\n")
+        assert run("evaluate", str(sim / "manifest.json")) == 4
+        assert "truth.csv: 'utf-8' codec can't decode" in capsys.readouterr().err
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run("evaluate", str(tmp_path / "nope.json")) == 2

@@ -19,7 +19,6 @@ from clickdetect.detector import (
     _burst_total,
     _clean_window,
     _median,
-    snr_db,
 )
 from clickdetect.evaluation import match_detections
 from clickdetect.soundscape import CLICK_TOTAL_S, SimConfig, factory_noise, mix_at_snr, pink_noise, synth_click
@@ -34,25 +33,6 @@ def click_in_silence(seed: int, at_s: float = 1.0, total_s: float = 2.0) -> Samp
     i0 = round(at_s * RATE)
     x[i0 : i0 + len(click)] = click.samples
     return SampleBuffer(x, RATE)
-
-
-class TestSnrDb:
-    def test_equal_powers_is_zero(self):
-        assert snr_db(1e-4, 1e-4) == 0.0
-
-    def test_hundredfold_is_twenty(self):
-        assert snr_db(100 * 3e-6, 3e-6) == pytest.approx(20.0, abs=1e-12)
-
-    def test_zero_background_sentinel(self):
-        assert snr_db(1.0, 0.0) == math.inf
-        assert snr_db(0.0, 0.0) == -math.inf
-
-    def test_zero_event(self):
-        assert snr_db(0.0, 1.0) == -math.inf
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            snr_db(-1.0, 1.0)
 
 
 class TestClickSignature:
@@ -500,6 +480,17 @@ class TestDetectEvents:
         with pytest.raises(ValueError, match="at least 1.0 s"):
             ClickDetector(background_window_s=0.5)
 
+    @pytest.mark.parametrize("window_s", [1e20, 1e300, 1e308])
+    def test_background_window_beyond_the_recording(self, window_s):
+        # Every window of the recording's frame count or more holds the same
+        # frames. From about 5e16 s the count overflowed int64, and at 1e308
+        # it was infinite: both raised an OverflowError.
+        cfg = SimConfig(seed=5, duration_s=8.0, click_times_s=(3.0, 6.0), target_snr_db=18.0)
+        mix, _ = mix_at_snr(synth_click(RATE, 5), factory_noise(cfg), cfg)
+        whole = ClickDetector(background_window_s=8.0).predict(mix)
+        assert [e.label for e in whole].count("connection_click") == 2
+        assert ClickDetector(background_window_s=window_s).predict(mix) == whole
+
     @pytest.mark.parametrize("window_s", [0.0, -1.0, math.nan])
     def test_merge_window_checked(self, window_s):
         # A non-positive or NaN merge window used to return the events unmerged.
@@ -566,6 +557,37 @@ class TestEdgePositions:
         (near,) = [e for e in events if abs(e.onset_s - 9.85) <= 0.05]
         assert near.label == "other_transient"
         assert 0.06 <= near.tail_duration_s < ClickDetector.tail_min_s
+
+
+def level_step_mix(seed: int, hiss_from_s: float):
+    """An 18 dB click at 10 s in 16 s of factory noise, plus white hiss of
+    0.01 RMS from ``hiss_from_s`` on, and the click's truth."""
+    cfg = SimConfig(seed=seed, duration_s=16.0, click_times_s=(10.0,), target_snr_db=18.0)
+    mix, truth = mix_at_snr(synth_click(RATE, seed), factory_noise(cfg), cfg)
+    x = mix.samples.copy()
+    i0 = round(hiss_from_s * RATE)
+    x[i0:] += 0.01 * np.random.default_rng(seed).standard_normal(len(x) - i0)
+    return SampleBuffer(np.clip(x, -1.0, 1.0), RATE), truth
+
+
+class TestLevelStep:
+    """A sustained step up in the noise floor, which the corpus never has."""
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="frames after the step clear the gates against the pre-step background, so none is "
+        "clean and the background never catches up: the rest of the recording is one burst run",
+    )
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_click_after_the_floor_steps_up(self, seed):
+        mix, truth = level_step_mix(seed, 4.0)
+        assert match_detections(ClickDetector().predict(mix), truth).true_positives == 1
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_click_in_a_floor_that_was_always_high(self, seed):
+        mix, truth = level_step_mix(seed, 0.0)
+        assert match_detections(ClickDetector().predict(mix), truth).true_positives == 1
 
 
 class TestDetectionEvent:

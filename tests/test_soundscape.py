@@ -49,6 +49,20 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("duration_s", [1e308, 1e-9, 3e-5])
+    def test_duration_must_give_two_samples(self, duration_s):
+        # 1e308 s of samples overflowed round(), and fewer than two samples
+        # divided by zero in the generators.
+        with pytest.raises(ValueError, match="duration_s"):
+            SimConfig(duration_s=duration_s)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_samples_are_enough(self, n):
+        cfg = SimConfig(duration_s=n / RATE)
+        for generate in (pink_noise, factory_noise):
+            samples = generate(cfg).samples
+            assert len(samples) == n and np.isfinite(samples).all()
+
 
 class TestGroundTruth:
     def test_rejects_unsorted_or_crowded(self):
@@ -77,6 +91,12 @@ class TestGroundTruth:
         path = tmp_path / "bad.csv"
         path.write_text("when,what\n1.0,x\n")
         with pytest.raises(ValueError, match="header"):
+            read_truth_csv(path)
+
+    def test_csv_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_bytes(b"time_s,label\n1.0,connection_click\xff\n")
+        with pytest.raises(ValueError, match="truth.csv: 'utf-8' codec can't decode"):
             read_truth_csv(path)
 
     def test_csv_crowded_times_name_the_file(self, tmp_path):
@@ -247,7 +267,7 @@ class TestMixAtSnr:
     )
     def test_measured_snr_matches_target(self, rate, target, tol):
         # oracle: the detector's burst-band power of the mix vs the noise's average
-        from clickdetect.detector import ClickDetector, _gated_band_power, snr_db
+        from clickdetect.detector import ClickDetector, _gated_band_power
 
         detector = ClickDetector()
 
@@ -262,7 +282,7 @@ class TestMixAtSnr:
         ref = burst_track(noise).mean()
         hop_s = detector.hop / rate
         peak = track[round(3.95 / hop_s) : round(4.15 / hop_s)].max()
-        measured = snr_db(max(peak - ref, 0.0), ref)
+        measured = 10.0 * math.log10((peak - ref) / ref)
         assert measured == pytest.approx(target, abs=tol)
 
     def test_mismatched_rates_rejected(self):
@@ -277,7 +297,7 @@ class TestMixAtSnr:
         with pytest.raises(ValueError, match="overruns"):
             mix_at_snr(synth_click(RATE, 16), noise, cfg)
 
-    def test_clipping_flags_the_event(self):
+    def test_clipping_clamps_the_mix(self):
         cfg = SimConfig(seed=17, duration_s=4.0, click_times_s=(2.0,), target_snr_db=60.0)
         noise = pink_noise(cfg)
         mixed, truth = mix_at_snr(synth_click(RATE, 17), noise, cfg)
