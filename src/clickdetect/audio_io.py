@@ -23,9 +23,6 @@ __all__ = ["SampleBuffer", "WavFormatError", "read_wav", "write_wav", "slice_buf
 #: Lowest rate the detection chain makes sense at (content up to >= 4 kHz).
 MIN_SAMPLE_RATE_HZ = 8000
 
-#: Assumed rate/depth for synthesized material; recordings keep their own rate.
-DEFAULT_SAMPLE_RATE_HZ = 48000
-
 _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
@@ -90,6 +87,12 @@ class SampleBuffer:
         return self.samples.size / self.sample_rate_hz
 
 
+def _owned_buffer(x: np.ndarray, sample_rate_hz: int) -> SampleBuffer:
+    """Wrap an array that nothing else holds: frozen first, SampleBuffer need not copy it."""
+    x.flags.writeable = False
+    return SampleBuffer(x, sample_rate_hz)
+
+
 def read_wav(path: str | Path) -> SampleBuffer:
     """Read a PCM WAV file into a mono SampleBuffer.
 
@@ -131,8 +134,7 @@ def read_wav(path: str | Path) -> SampleBuffer:
                     f"of {wav.data_bytes} bytes"
                 )
             _decode(raw, wav, samples[start : start + len(raw) // frame_bytes], path)
-    samples.flags.writeable = False  # nothing else holds it: SampleBuffer need not copy
-    return SampleBuffer(samples, wav.sample_rate_hz)
+    return _owned_buffer(samples, wav.sample_rate_hz)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def load_config(path: str | None, set_args: list[str] | None) -> dict:
     merged: dict = {}
     if path:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (WavFormatError, RuntimeError, OSError) as exc:
+    except (WavFormatError, RuntimeError, OSError) as exc:  # a pool whose worker died raises a RuntimeError
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

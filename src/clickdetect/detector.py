@@ -150,7 +150,7 @@ class DetectionEvent:
             "onset_s": round(self.onset_s, 6),
             "burst_s": round(self.burst_duration_s, 6),
             "tail_s": round(self.tail_duration_s, 6),
-            "snr_db": round(self.peak_snr_db, 4) if math.isfinite(self.peak_snr_db) else self.peak_snr_db,
+            "snr_db": round(self.peak_snr_db, 4),
             "score": round(self.score, 6),
             "label": self.label,
         }
@@ -313,10 +313,6 @@ def _run_duration_s(n_frames: int, detector: ClickDetector, rate: int) -> float:
     return max(detector.hop, samples) / rate
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[DetectionEvent]:
     """Detect and classify click events; returns events sorted by onset.
 
@@ -365,7 +361,7 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
         reference = float(_burst_reference(med, n_burst, detector))
         excess = float(burst_total[start:stop].max()) - reference
         peak_snr = 10.0 * math.log10(excess / reference) if excess > 0.0 else -math.inf
-        score = 0.5 * _clamp01(peak_snr / 20.0) + 0.5 * _clamp01(tail_dur / 0.3)
+        score = 0.5 * min(1.0, max(0.0, peak_snr / 20.0)) + 0.5 * min(1.0, tail_dur / 0.3)
         label: Label = "connection_click" if tail_ok else "other_transient"
         onset_s = (start * hop + detector.window_len - hop) / rate
         events.append(

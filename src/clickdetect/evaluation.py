@@ -87,23 +87,14 @@ def match_detections(detections: Sequence[DetectionEvent], truth: GroundTruth) -
     clicks = sorted(e.onset_s for e in detections if e.label == "connection_click")
     matched = [False] * len(clicks)
     per_event: list[tuple[float, float | None]] = []
-    tp = 0
     for t in truth.times:
-        best = None
-        for i, onset in enumerate(clicks):
-            if matched[i] or abs(onset - t) > _TOLERANCE_S:
-                continue
-            if best is None or abs(onset - t) < abs(clicks[best] - t):
-                best = i
-        if best is None:
-            per_event.append((t, None))
-        else:
+        near = (i for i, onset in enumerate(clicks) if not matched[i] and abs(onset - t) <= _TOLERANCE_S)
+        best = min(near, key=lambda i: abs(clicks[i] - t), default=None)  # a tie keeps the earlier click
+        if best is not None:
             matched[best] = True
-            per_event.append((t, clicks[best]))
-            tp += 1
-    fp = matched.count(False)
-    fn = len(truth.times) - tp
-    return EvalReport.from_counts(tp, fp, fn, tuple(per_event))
+        per_event.append((t, None if best is None else clicks[best]))
+    tp = matched.count(True)
+    return EvalReport.from_counts(tp, len(clicks) - tp, len(truth.times) - tp, tuple(per_event))
 
 
 @dataclass(frozen=True)
@@ -151,10 +142,7 @@ class BenchmarkResult:
 def _evaluate_clip(args: tuple[str, str, ClickDetector]) -> tuple[int, int, int, float]:
     """Match one clip's detections; returns (TP, FP, FN, audio seconds)."""
     wav_path, truth_path, detector = args
-    try:
-        buffer = read_wav(wav_path)
-    except (OSError, ValueError) as exc:
-        raise RuntimeError(f"cannot evaluate clip {wav_path}: {exc}") from exc
+    buffer = read_wav(wav_path)
     report = match_detections(detector.predict(buffer), read_truth_csv(truth_path))
     return report.true_positives, report.false_positives, report.false_negatives, buffer.duration_s
 
@@ -183,7 +171,7 @@ def _pool(workers: int) -> ProcessPoolExecutor:
 def _read_manifest(path: Path) -> list[dict]:
     """The entries of the manifest at ``path``, each checked; errors name the file."""
     try:
-        entries = json.loads(path.read_text())
+        entries = json.loads(path.read_text(encoding="utf-8-sig"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(entries, list):
@@ -211,7 +199,7 @@ def run_benchmark(manifest_path: str | Path, detector: ClickDetector = ClickDete
     paths relative to the manifest file; every entry is checked before any
     clip runs. Clips are independent: they are evaluated in one process per
     CPU this process may use, at most one per clip, and aggregated in
-    manifest order.
+    manifest order. A clip that cannot be read raises ``read_wav``'s error.
     """
     manifest_path = Path(manifest_path)
     entries = _read_manifest(manifest_path)
@@ -277,11 +265,6 @@ def depth_sweep(depths_m: Sequence[float], cfg: SimConfig) -> DepthSweep:
         raise ValueError("depths_m must be non-empty")
     noise = pink_noise(cfg)
     bands = third_octave_bands(100.0, cfg.sample_rate_hz / 2.0)
-    columns: list[np.ndarray] = []
-    kept_bands: tuple[Band, ...] | None = None
-    for depth in depths_m:
-        filtered = apply_shroud(noise, float(depth))
-        profile = band_powers(filtered, bands)
-        kept_bands = profile.bands
-        columns.append(profile.power_db)
-    return DepthSweep(tuple(float(d) for d in depths_m), kept_bands, np.column_stack(columns))
+    profiles = [band_powers(apply_shroud(noise, float(depth)), bands) for depth in depths_m]
+    columns = np.column_stack([profile.power_db for profile in profiles])
+    return DepthSweep(tuple(float(d) for d in depths_m), profiles[0].bands, columns)

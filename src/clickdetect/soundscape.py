@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio_io import DEFAULT_SAMPLE_RATE_HZ, SampleBuffer, write_wav
+from .audio_io import SampleBuffer, _owned_buffer, write_wav
 from .detector import ClickDetector, _burst_total, _gated_band_power, _require_finite, _require_power
 
 __all__ = [
@@ -56,7 +56,7 @@ _CLICK_MARGIN_S = 2.0
 class SimConfig:
     """Knobs for one synthesized soundscape."""
 
-    sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
+    sample_rate_hz: int = 48000
     seed: int = 0
     duration_s: float = 10.0
     transient_rate_hz: float = 0.5
@@ -117,12 +117,6 @@ def _off_axis_attenuation_db(f_hz, depth_m: float) -> np.ndarray:
     return np.minimum(_SHROUD_CAP_DB, raw)
 
 
-def _owned_buffer(x: np.ndarray, sample_rate_hz: int) -> SampleBuffer:
-    """Wrap an array that nothing else holds: frozen first, SampleBuffer need not copy it."""
-    x.flags.writeable = False
-    return SampleBuffer(x, sample_rate_hz)
-
-
 def _shaped_noise(rng: np.random.Generator, n: int, amplitude_of_f) -> np.ndarray:
     """Real noise whose spectral amplitude follows ``amplitude_of_f`` (rfft grid)."""
     n_bins = n // 2 + 1
@@ -160,8 +154,15 @@ def _lowpass_amplitude(f: np.ndarray, cutoff_hz: float = 5000.0, order: int = 6)
     return np.divide(1.0, amplitude, out=amplitude)
 
 
-def _factory_parts(cfg: SimConfig):
-    """Floor samples plus transient event list [(start_s, duration_s, level_db)]."""
+def factory_noise(cfg: SimConfig) -> SampleBuffer:
+    """Factory soundscape: a steady floor confined below ~5 kHz plus sparse
+    broadband transients.
+
+    The floor is lowpass-shaped noise (-3 dB at 5 kHz, 36 dB/octave above);
+    transients arrive as a Poisson process at ``transient_rate_hz``, each a
+    full-spectrum burst of 30-150 ms at 6-15 dB above the floor with short
+    ramps and, deliberately, no tail.
+    """
     n = round(cfg.duration_s * cfg.sample_rate_hz)
     rate = cfg.sample_rate_hz
     rng = np.random.default_rng(cfg.seed)
@@ -169,7 +170,6 @@ def _factory_parts(cfg: SimConfig):
     x = _shaped_noise(rng, n, _lowpass_amplitude(np.fft.rfftfreq(n, 1.0 / rate)))
     x *= FACTORY_FLOOR_RMS / math.sqrt(float(np.mean(x**2)))
 
-    events: list[tuple[float, float, float]] = []
     count = int(rng.poisson(cfg.transient_rate_hz * cfg.duration_s))
     durations = rng.uniform(0.03, 0.15, count)
     levels_db = rng.uniform(6.0, 15.0, count)
@@ -188,21 +188,7 @@ def _factory_parts(cfg: SimConfig):
             seg[:ramp] *= fade
             seg[-ramp:] *= fade[::-1]
         x[i0 : i0 + seg_len] += seg
-        events.append((float(start), float(dur), float(level)))
     np.clip(x, -1.0, 1.0, out=x)  # headroom is generous; guard only
-    return x, events
-
-
-def factory_noise(cfg: SimConfig) -> SampleBuffer:
-    """Factory soundscape: a steady floor confined below ~5 kHz plus sparse
-    broadband transients.
-
-    The floor is lowpass-shaped noise (-3 dB at 5 kHz, 36 dB/octave above);
-    transients arrive as a Poisson process at ``transient_rate_hz``, each a
-    full-spectrum burst of 30-150 ms at 6-15 dB above the floor with short
-    ramps and, deliberately, no tail.
-    """
-    x, _ = _factory_parts(cfg)
     return _owned_buffer(x, cfg.sample_rate_hz)
 
 
@@ -328,7 +314,7 @@ def read_truth_csv(path: str | Path) -> GroundTruth:
     """Read a ``time_s,label`` CSV of connection clicks; errors name the file,
     and a bad row its line."""
     try:
-        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
+        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8-sig"), newline=""))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if next(reader, None) != ["time_s", "label"]:
@@ -363,7 +349,7 @@ def _write_clip(out_dir: Path, wav_name: str, truth_name: str, cfg: SimConfig, c
     times = spaced_click_times(clicks, cfg.duration_s, np.random.default_rng(cfg.seed))
     cfg = replace(cfg, click_times_s=times)
     mix, truth = factory_noise(cfg), GroundTruth(())
-    if times:  # only a click needs synth_click's 16 kHz floor
+    if times:  # only a click needs 22,628 Hz: mix_at_snr measures it through the detector's burst bands
         mix, truth = mix_at_snr(synth_click(cfg.sample_rate_hz, cfg.seed), mix, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_wav(mix, out_dir / wav_name)

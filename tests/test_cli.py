@@ -278,11 +278,18 @@ class TestSimulate:
         assert (tmp_path / "truth.csv").read_text() == "time_s,label\n"
 
     def test_zero_clicks_need_no_click_rate(self, tmp_path):
-        # No click is synthesised without a click time, so its 16 kHz floor does not apply.
+        # No click is mixed without a click time, so the 22,628 Hz that measuring one needs does not apply.
         assert run("simulate", "--out-dir", str(tmp_path), "--clicks", "0",
                    "--sample-rate", "8000", "--duration", "2") == 0
         assert (tmp_path / "truth.csv").read_text() == "time_s,label\n"
         assert read_wav(tmp_path / "mix.wav").sample_rate_hz == 8000
+
+    @pytest.mark.parametrize("rate, code", [(22050, 4), (22628, 0)])
+    def test_click_rate_floor(self, tmp_path, rate, code):
+        # mix_at_snr measures the click through the default detector's burst
+        # bands, the first of which ends at 11,314 Hz.
+        assert run("simulate", "--out-dir", str(tmp_path), "--clicks", "1",
+                   "--sample-rate", str(rate), "--duration", "8") == code
 
     def test_deterministic_wav(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -440,6 +447,24 @@ class TestEvaluateCommand:
         (sim / "truth.csv").write_bytes(b"time_s,label\n\xff\n")
         assert run("evaluate", str(sim / "manifest.json")) == 4
         assert "truth.csv: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bom_in", ["config", "truth", "manifest"])
+    def test_byte_order_mark_is_accepted(self, tmp_path, bom_in):
+        sim = tmp_path / "sim"
+        assert run("simulate", "--out-dir", str(sim), "--clicks", "1", "--duration", "8", "--seed", "8") == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("onset_threshold_db = 12\n")
+        path = {"config": cfg, "truth": sim / "truth.csv", "manifest": sim / "manifest.json"}[bom_in]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        json_out = tmp_path / "report.json"
+        assert run("evaluate", str(sim / "manifest.json"), "--config", str(cfg), "--json", str(json_out)) == 0
+        assert json.loads(json_out.read_text())["aggregate"]["true_positives"] == 1
+
+    def test_undecodable_manifest_exits_4_naming_the_file(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b'[{"wav_path": "\xff.wav"}]')
+        assert run("evaluate", str(manifest)) == 4
+        assert "m.json: 'utf-8' codec can't decode" in capsys.readouterr().err
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run("evaluate", str(tmp_path / "nope.json")) == 2

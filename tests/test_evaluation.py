@@ -91,6 +91,25 @@ class TestMatchDetections:
         assert report.per_event == ((2.0, 2.05),)
         assert report.false_positives == 1
 
+    # Dyadic times below are exact in binary, so the distances tie exactly.
+    def test_a_tie_goes_to_the_earlier_click(self):
+        report = match_detections([click_at(2.125), click_at(1.875)], truth_at(2.0))
+        assert report.per_event == ((2.0, 1.875),)
+        assert report.false_positives == 1
+
+    @pytest.mark.parametrize(
+        "offset, matches", [(0.25, True), (-0.25, True), (0.25 + 2**-10, False), (-0.25 - 2**-10, False)]
+    )
+    def test_the_tolerance_is_inclusive(self, offset, matches):
+        report = match_detections([click_at(2.0 + offset)], truth_at(2.0))
+        assert report.per_event == ((2.0, 2.0 + offset if matches else None),)
+        assert (report.true_positives, report.false_positives) == ((1, 0) if matches else (0, 1))
+
+    def test_a_click_two_truths_reach_goes_to_the_earlier_truth(self):
+        report = match_detections([click_at(2.25)], truth_at(2.0, 2.5))
+        assert report.per_event == ((2.0, 2.25), (2.5, None))
+        assert (report.true_positives, report.false_positives, report.false_negatives) == (1, 0, 1)
+
 
 class TestEvalReport:
     def test_degenerate_conventions(self):
@@ -210,7 +229,7 @@ class TestRunBenchmark:
             for key in ("wav_path", "truth_path"):
                 src = small_corpus.parent / entry[key]
                 (tmp_path / entry[key]).write_bytes(src.read_bytes())
-        with pytest.raises(RuntimeError, match="missing.wav"):
+        with pytest.raises(FileNotFoundError, match="missing.wav"):
             run_benchmark(broken)
 
     @pytest.mark.parametrize(

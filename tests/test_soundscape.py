@@ -8,7 +8,6 @@ from clickdetect.audio_io import SampleBuffer, read_wav
 from clickdetect.soundscape import (
     GroundTruth,
     SimConfig,
-    _factory_parts,
     _off_axis_attenuation_db,
     apply_shroud,
     factory_noise,
@@ -20,7 +19,7 @@ from clickdetect.soundscape import (
     synth_click,
     write_truth_csv,
 )
-from clickdetect.spectral import band_powers, third_octave_bands
+from clickdetect.spectral import band_powers, frame_band_powers, stft, third_octave_bands
 
 from conftest import RATE
 
@@ -181,11 +180,16 @@ class TestFactoryNoise:
         assert above and all(ref - db >= 20.0 for db in above)
 
     def test_poisson_transient_count(self):
+        # Counted in the audio: the floor lies 36 dB/octave down above 5 kHz, so
+        # 10-20 kHz holds only the broadband transients. Each is a run of frames
+        # above 100x the median; overlapping transients count once.
         counts = []
         for seed in range(10):
             cfg = SimConfig(seed=seed, duration_s=60.0, transient_rate_hz=0.5)
-            _, events = _factory_parts(cfg)
-            counts.append(len(events))
+            spec = stft(factory_noise(cfg), 1024, 256)
+            power = frame_band_powers(spec, third_octave_bands(10000, 20000)).sum(axis=1)
+            above = np.concatenate(([0], power > 100.0 * np.median(power), [0])).astype(np.int8)
+            counts.append(np.count_nonzero(np.diff(above) == 1))
         assert abs(np.mean(counts) - 30.0) <= 10.0
 
     def test_samples_within_full_scale(self):
