@@ -21,13 +21,21 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
 from .audio_io import SampleBuffer
-from .spectral import _bands_within_nyquist, _check_framing, frame_band_powers, stft, third_octave_bands
+from .spectral import (
+    _bands_within_nyquist,
+    _check_framing,
+    _shared_power_workers,
+    frame_band_powers,
+    stft,
+    third_octave_bands,
+)
 
 __all__ = [
     "DetectionEvent",
@@ -156,8 +164,12 @@ class DetectionEvent:
         }
 
 
-#: Frames whose gates one sorted window settles at once (``_background_and_flags``).
+#: Frames whose gates one sorted window settles at once (``_BackgroundPass``).
 _BLOCK = 64
+#: Frames whose gated band powers are computed and fed to the background pass
+#: at once: 64 of ``_map_power_blocks``' blocks at window_len 1024, and a
+#: whole number of blocks at every window_len.
+_CHUNK_FRAMES = 8192
 
 
 def _burst_total(power: np.ndarray, n_burst: int) -> np.ndarray:
@@ -188,95 +200,152 @@ def _clean_window(band_power: np.ndarray, clean: np.ndarray, t: int, win: int) -
     return rows, np.sort(band_power[rows], axis=0)
 
 
-def _median(ranked: np.ndarray, empty_row: np.ndarray) -> np.ndarray:
-    """The per-band median of a sorted window, averaging the middle pair
-    (``0.5*(a+b)``) of an even count; ``empty_row`` when it holds no frame."""
+def _median(ranked: np.ndarray) -> np.ndarray:
+    """The per-band median of a sorted window of at least one frame,
+    averaging the middle pair (``0.5*(a+b)``) of an even count."""
     n = len(ranked)
-    if not n:
-        return empty_row
     k = n // 2
     return ranked[k] if n & 1 else 0.5 * (ranked[k - 1] + ranked[k])
 
 
-def _background_and_flags(
-    band_power: np.ndarray, n_burst: int, detector: ClickDetector, win: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame gate flags against a causal trailing-median background.
+class _BackgroundPass:
+    """Per-frame gate flags against a causal trailing-median background, fed
+    the gated band powers one chunk of frames at a time (``feed``).
 
     Frame t's background is the per-band median of the clean (unflagged)
     frames in [t - win, t), so the events being detected cannot inflate their
     own reference. An empty window keeps the previous frame's background: the
     row of the latest clean frame, or frame 0's own row when no frame is clean
-    yet. ``band_power`` holds the burst bands' ``n_burst`` columns, then the
-    tail bands'. The burst gate compares the frame's summed burst-band power
-    with ``_burst_reference``; the tail gate compares each tail band with its
-    median.
+    yet. Each row of powers holds the burst bands' ``n_burst`` columns, then
+    the tail bands'. The burst gate compares the frame's summed burst-band
+    power with ``_burst_reference``; the tail gate compares each tail band
+    with its median.
 
-    The pass runs in blocks of at most ``min(_BLOCK, win)`` frames. A block
-    starts at a frame t0 whose earlier flags are all final and sorts t0's
-    clean window once (``_clean_window``), which gives t0's median exactly.
-    Frame t0 + j has lost the ``evicted`` clean frames before t0 - win + j,
-    all of them known, and gained at most j of the block's own, so each
-    band's median lies between two ranks of that sorted window. Every gate is
-    monotone in each median (a floor, a positive ratio and a sum, all rounded
-    to nearest), so a verdict that holds at both bounds is exact. The block
-    ends at the first frame whose verdicts differ at its bounds, or that has
-    none (too few frames kept, or a window that may be empty); the next block
-    starts there. Frame t0 is always settled, so every block advances.
-    Returns the burst and tail masks and each frame's summed burst-band power.
+    Between chunks the pass holds only the last ``win`` rows and their clean
+    flags, and the row an empty window falls back on when none of them is
+    clean: that of an older clean frame, or frame 0's. For the whole
+    recording it fills ``burst`` and ``tail``, the two gates' masks, and
+    ``burst_total``, each frame's summed burst-band power: 10 bytes a frame.
+    ``references`` maps the first frame of each burst run that may pass the
+    duration gate to the burst gate's reference there, taken while the pass
+    still holds the run's window. The flags and references do not depend on
+    how the frames are cut into chunks.
     """
-    T = len(band_power)
-    onset_ratio = 10.0 ** (detector.onset_threshold_db / 10.0)
-    tail_ratio = 10.0 ** (detector.tail_threshold_db / 10.0)
-    floor = 10.0 ** (detector.silence_floor_db / 10.0)
-    burst_total = _burst_total(band_power, n_burst)
 
-    def gate(t0: int, med: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # med holds one row of gated-band medians per frame from t0 on
+    def __init__(self, n_frames: int, n_burst: int, detector: ClickDetector, win: int, rate: int) -> None:
+        self.n_burst, self.detector, self.win, self.rate = n_burst, detector, win, rate
+        self.onset_ratio = 10.0 ** (detector.onset_threshold_db / 10.0)
+        self.tail_ratio = 10.0 ** (detector.tail_threshold_db / 10.0)
+        self.floor = 10.0 ** (detector.silence_floor_db / 10.0)
+        self.burst = np.zeros(n_frames, dtype=bool)
+        self.tail = np.zeros(n_frames, dtype=bool)
+        self.burst_total = np.zeros(n_frames)
+        self.references: dict[int, float] = {}
+        self.fed = 0
+        # The held rows and their clean flags: frames [fed - len(rows), fed).
+        self._rows: np.ndarray | None = None
+        self._clean = np.zeros(0, dtype=bool)
+        self._carry: np.ndarray | None = None
+
+    def feed(self, power: np.ndarray) -> None:
+        """Settle the next ``len(power)`` frames, whose gated band powers are ``power``."""
+        t = self.fed
+        if self._rows is None:
+            self._rows, self._carry = power[:0], power[0].copy()
+        self._rows = np.concatenate((self._rows, power))
+        self._clean = np.concatenate((self._clean, np.zeros(len(power), dtype=bool)))
+        self.fed = t + len(power)
+        self.burst_total[t : self.fed] = _burst_total(power, self.n_burst)
+        t0 = t
+        while t0 < self.fed:
+            t0 += self._settle_block(t0)
+        self._take_references(t)
+        latest = np.flatnonzero(self._clean)
+        if latest.size:
+            self._carry = self._rows[latest[-1]].copy()
+        self._rows, self._clean = self._rows[-self.win :].copy(), self._clean[-self.win :].copy()
+
+    def _background(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Frame t's clean window (``_clean_window``, indexed in the held
+        rows), and t's background. The flags before t must be final."""
+        first = self.fed - len(self._rows)
+        frames, ranked = _clean_window(self._rows, self._clean, t - first, self.win)
+        if len(frames):
+            return frames, ranked, _median(ranked)
+        prior = np.flatnonzero(self._clean[: t - first])
+        return frames, ranked, self._rows[prior[-1]] if prior.size else self._carry
+
+    def _gate(self, t0: int, med: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The burst and tail verdicts of frames t0, t0 + 1, ... against one
+        row of gated-band medians each."""
         frames = slice(t0, t0 + len(med))
-        burst = burst_total[frames] >= onset_ratio * _burst_reference(med, n_burst, detector)
-        power = band_power[frames, n_burst:]
-        tail = (power >= tail_ratio * np.maximum(med[:, n_burst:], floor)).any(axis=1)
+        burst = self.burst_total[frames] >= self.onset_ratio * _burst_reference(med, self.n_burst, self.detector)
+        first = self.fed - len(self._rows)
+        power = self._rows[t0 - first : t0 - first + len(med), self.n_burst :]
+        tail = (power >= self.tail_ratio * np.maximum(med[:, self.n_burst :], self.floor)).any(axis=1)
         return burst, tail
 
-    burst_mask = np.zeros(T, dtype=bool)
-    tail_mask = np.zeros(T, dtype=bool)
-    clean = np.zeros(T, dtype=bool)
-    last_clean = -1  # the latest clean frame before t0
-    block = min(_BLOCK, win)
-    t0 = 0
-    while t0 < T:
-        rows, ranked = _clean_window(band_power, clean, t0, win)
-        j = np.arange(min(block, T - t0))
-        evicted = np.searchsorted(rows, t0 + j - win)
-        kept = len(rows) - evicted
+    def _settle_block(self, t0: int) -> int:
+        """Settle a block of frames from t0, whose earlier flags are all final,
+        and return its length: at least 1, at most ``min(_BLOCK, win)``, and
+        never past the frames fed.
+
+        The block sorts t0's clean window once (``_clean_window``), which
+        gives t0's median exactly. Frame t0 + j has lost the ``evicted``
+        clean frames before t0 - win + j, all of them known, and gained at
+        most j of the block's own, so each band's median lies between two
+        ranks of that sorted window. Every gate is monotone in each median (a
+        floor, a positive ratio and a sum, all rounded to nearest), so a
+        verdict that holds at both bounds is exact. The block ends at the
+        first frame whose verdicts differ at its bounds, or that has none
+        (too few frames kept, or a window that may be empty); the next block
+        starts there.
+        """
+        frames, ranked, med = self._background(t0)
+        j = np.arange(min(_BLOCK, self.win, self.fed - t0))
+        first = self.fed - len(self._rows)
+        evicted = np.searchsorted(frames, t0 - first + j - self.win)
+        kept = len(frames) - evicted
         low_rank = (kept + j - 1) // 2 - j  # falls with j: the bounded frames are a prefix
         high_rank = (kept + j) // 2 + evicted  # inside the window wherever low_rank >= 0
         bounded = slice(1, np.count_nonzero(low_rank >= 0))
-        med = _median(ranked, band_power[max(last_clean, 0)])[None]
-        burst_low, tail_low = gate(t0, np.concatenate((med, ranked[low_rank[bounded]])))
-        burst_high, tail_high = gate(t0, np.concatenate((med, ranked[high_rank[bounded]])))
+        burst_low, tail_low = self._gate(t0, np.concatenate((med[None], ranked[low_rank[bounded]])))
+        burst_high, tail_high = self._gate(t0, np.concatenate((med[None], ranked[high_rank[bounded]])))
         same = (burst_low == burst_high) & (tail_low == tail_high)
         n = int(np.logical_and.accumulate(same).sum())
-        at = slice(t0, t0 + n)
-        burst_mask[at], tail_mask[at] = burst_low[:n], tail_low[:n]
-        clean[at] = ~(burst_low[:n] | tail_low[:n])
-        clean_here = np.flatnonzero(clean[at])
-        if clean_here.size:
-            last_clean = t0 + int(clean_here[-1])
-        t0 += n
-    return burst_mask, tail_mask, burst_total
+        self.burst[t0 : t0 + n], self.tail[t0 : t0 + n] = burst_low[:n], tail_low[:n]
+        self._clean[t0 - first : t0 - first + n] = ~(burst_low[:n] | tail_low[:n])
+        return n
+
+    def _take_references(self, t: int) -> None:
+        """Take the reference of each burst run that starts in frames [t, fed)
+        and may pass the duration gate. A run that reaches the last frame fed
+        may yet grow, so only its upper bound rules it out."""
+        detector, n_frames = self.detector, len(self.burst)
+        for start, stop in _mask_runs(self.burst[t : self.fed]):
+            if start == 0 and t and self.burst[t - 1]:
+                continue  # it started in an earlier chunk
+            duration = _run_duration_s(stop - start, detector, self.rate)
+            growing = t + stop == self.fed < n_frames
+            if duration <= detector.burst_max_s and (growing or duration >= detector.burst_min_s):
+                med = self._background(t + start)[2]
+                self.references[t + start] = float(_burst_reference(med, self.n_burst, detector))
 
 
-def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> tuple[np.ndarray, int]:
-    """Per-frame power of the gated bands only: the burst bands, then the tail's.
+@contextmanager
+def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> Iterator[tuple[int, int, Iterator[np.ndarray]]]:
+    """Per-frame power of the gated bands only, ``_CHUNK_FRAMES`` frames at a
+    time: the burst bands, then the tail's.
 
     The frames are ``detector``'s ``window_len`` and ``hop``; the bands are
     the 1/3-octave grid from 100 Hz up to Nyquist. The tail bands are picked
     by center, so where the grid starts matters only to a ``tail_band_hz``
-    reaching below it. Returns that matrix and its number of burst columns.
-    Raises, in this order, for a buffer shorter than a window, a hop coarser
-    than ``burst_min_s``, a tail band above Nyquist, or no burst or tail band.
+    reaching below it. Entering gives the frame count, the number of burst
+    columns, and an iterator over the chunks of rows in frame order, each
+    computed by ``frame_band_powers`` as it is reached, on band-power threads
+    that end with the block. Entering raises, in this order, for a buffer
+    shorter than a window, a hop coarser than ``burst_min_s``, a tail band
+    above Nyquist, or no burst or tail band.
     """
     spec = stft(buffer, detector.window_len, detector.hop)
     rate = buffer.sample_rate_hz
@@ -298,7 +367,14 @@ def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> tuple[np
         raise ValueError(f"no band lies fully between burst_low_hz={detector.burst_low_hz} Hz and Nyquist")
     if not tail_cols:
         raise ValueError(f"no band centered inside tail_band_hz={detector.tail_band_hz}")
-    return frame_band_powers(spec, [bands[i] for i in burst_cols + tail_cols]), len(burst_cols)
+    gated = [bands[i] for i in burst_cols + tail_cols]
+    n_frames = spec.n_frames
+    chunks = (
+        frame_band_powers(spec, gated, start, min(start + _CHUNK_FRAMES, n_frames))
+        for start in range(0, n_frames, _CHUNK_FRAMES)
+    )
+    with _shared_power_workers():
+        yield n_frames, len(burst_cols), chunks
 
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -331,35 +407,32 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
     (6) events with onsets closer than ``merge_window_s`` are merged keeping
     the higher score (ties keep the earlier onset).
     """
-    # The background pass is the costliest stage after the band powers; run it
-    # only over the gated bands.
-    band_power, n_burst = _gated_band_power(buffer, detector)
     hop, rate = detector.hop, buffer.sample_rate_hz
-    # A window as long as the recording already holds every earlier frame, so
-    # capping there changes nothing and keeps a huge window's count finite.
-    win = max(2, round(min(detector.background_window_s / (hop / rate), len(band_power))))
-    burst_mask, tail_mask, burst_total = _background_and_flags(band_power, n_burst, detector, win)
-    clean = ~(burst_mask | tail_mask)
-    clean_frames = np.flatnonzero(clean)
+    with _gated_band_power(buffer, detector) as (n_frames, n_burst, chunks):
+        # A window as long as the recording already holds every earlier frame,
+        # so capping there changes nothing and keeps a huge window's count finite.
+        win = max(2, round(min(detector.background_window_s / (hop / rate), n_frames)))
+        # The pass runs only over the gated bands, and the band powers of one
+        # chunk at a time: it is the costliest stage after them.
+        background = _BackgroundPass(n_frames, n_burst, detector, win, rate)
+        for power in chunks:
+            background.feed(power)
+    burst_mask, tail_mask = background.burst, background.tail
 
-    T = len(band_power)
     events: list[DetectionEvent] = []
     for start, stop in _mask_runs(burst_mask):
         burst_dur = _run_duration_s(stop - start, detector, rate)
         if not detector.burst_min_s <= burst_dur <= detector.burst_max_s:
             continue
         u = stop
-        while u < T and tail_mask[u] and not burst_mask[u]:
+        while u < n_frames and tail_mask[u] and not burst_mask[u]:
             u += 1
         tail_frames = u - stop
         tail_dur = _run_duration_s(tail_frames, detector, rate) if tail_frames else 0.0
         tail_ok = detector.tail_min_s <= tail_dur <= detector.tail_max_s
 
-        latest = np.searchsorted(clean_frames, start) - 1
-        carry = band_power[clean_frames[latest] if latest >= 0 else 0]
-        med = _median(_clean_window(band_power, clean, start, win)[1], carry)
-        reference = float(_burst_reference(med, n_burst, detector))
-        excess = float(burst_total[start:stop].max()) - reference
+        reference = background.references[start]
+        excess = float(background.burst_total[start:stop].max()) - reference
         peak_snr = 10.0 * math.log10(excess / reference) if excess > 0.0 else -math.inf
         score = 0.5 * min(1.0, max(0.0, peak_snr / 20.0)) + 0.5 * min(1.0, tail_dur / 0.3)
         label: Label = "connection_click" if tail_ok else "other_transient"

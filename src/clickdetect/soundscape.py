@@ -235,6 +235,13 @@ def synth_click(sample_rate_hz: int, seed: int = 0) -> SampleBuffer:
     return _owned_buffer(x, rate)
 
 
+def _burst_track(buffer: SampleBuffer) -> np.ndarray:
+    """Each frame's summed burst-band power under a default ``ClickDetector``'s
+    front end, for the whole recording."""
+    with _gated_band_power(buffer, ClickDetector()) as (_, n_burst, chunks):
+        return np.concatenate([_burst_total(power, n_burst) for power in chunks])
+
+
 def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tuple[SampleBuffer, GroundTruth]:
     """Inject the click at each configured time, scaled to the target SNR.
 
@@ -258,11 +265,10 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
 
     out = noise.samples.astype(np.float64)  # a copy, so float32 noise is mixed in float64
     if times:
-        detector = ClickDetector()
-        noise_ref = float(_burst_total(*_gated_band_power(noise, detector)).mean())
+        noise_ref = float(_burst_track(noise).mean())
         if noise_ref <= 0.0:
             raise ValueError("noise has no measurable burst-band power to reference the SNR to")
-        click_peak = float(_burst_total(*_gated_band_power(click, detector)).max())
+        click_peak = float(_burst_track(click).max())
         gain = math.sqrt(10.0 ** (cfg.target_snr_db / 10.0) * noise_ref / click_peak)
         scaled = np.multiply(click.samples, gain, dtype=np.float64)
         for i0 in starts:

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -100,47 +103,99 @@ class Spectrogram:
     def bin_frequencies_hz(self) -> np.ndarray:
         return np.arange(self.n_bins) * (self.sample_rate_hz / self.window_len)
 
-    def _map_power_blocks(self, fn: Callable[[int, np.ndarray], _T]) -> list[_T]:
-        """``fn(start, power)`` for every block of frames, in block order.
+    def _frame_range(self, start: int, stop: int | None) -> tuple[int, int]:
+        """Frames [start, stop), ``stop`` defaulting to ``n_frames``; raises
+        ValueError for a range that is empty or reaches outside [0, n_frames)."""
+        stop = self.n_frames if stop is None else stop
+        if not 0 <= start < stop <= self.n_frames:
+            raise ValueError(f"frame range [{start}, {stop}) is empty or outside [0, {self.n_frames})")
+        return start, stop
 
-        ``power`` holds the power of frames start, start + 1, ...: up to
+    def _map_power_blocks(self, fn: Callable[[int, np.ndarray], _T], start: int = 0, stop: int | None = None) -> list[_T]:
+        """``fn(first, power)`` for every block of frames [start, stop), in block order.
+
+        ``power`` holds the power of frames first, first + 1, ...: up to
         ``_STFT_BLOCK_SAMPLES // window_len`` rows, fewer in the last block.
-        The windowed frames and their spectra never exist for the whole
-        recording.
+        The blocks start at ``start`` (frame 0 by default) and the last ends
+        at ``stop`` (``n_frames`` by default). The windowed frames and their
+        spectra never exist for the whole recording.
 
         The blocks are computed on every CPU the process may use: worker k of
-        n takes blocks k, k + n, ..., the calling thread is worker 0, and the
-        others are threads that end with the call. Each worker owns its
-        ``power`` buffer, which ``fn`` may overwrite and which the worker's
-        next block refills. So ``fn`` runs concurrently with itself and must
-        write only outputs of its own block. The power is computed row by
-        row, so it does not depend on the number of workers.
+        n takes block k, then the first block no worker has taken, so a
+        worker that starts late or stalls holds up no other. The calling
+        thread is worker 0, and the others are threads that end with the
+        call, or with the enclosing ``_shared_power_workers`` block. Each
+        worker owns its ``power`` buffer, which ``fn`` may overwrite and which
+        the worker's next block refills. So ``fn`` runs concurrently with
+        itself and must write only outputs of its own block. The power is computed row by row, so it
+        depends neither on the number of workers nor on the frame range.
         """
-        n_frames, window_len = self.n_frames, self.window_len
-        frames = np.lib.stride_tricks.sliding_window_view(self.buffer.samples, window_len)[:: self.hop]
+        start, stop = self._frame_range(start, stop)
+        window_len, hop = self.window_len, self.hop
+        frames = np.lib.stride_tricks.sliding_window_view(self.buffer.samples, window_len)[start * hop : stop * hop : hop]
         window = _hann(window_len)
-        height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), n_frames)
-        n_blocks = -(-n_frames // height)
+        full_height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), self.n_frames)
+        height = min(full_height, stop - start)
+        n_blocks = -(-(stop - start) // height)
         n_workers = min(_usable_cpus(), n_blocks)
         results: list = [None] * n_blocks
+        shared = _SHARED_WORKERS.get()
+        unclaimed = iter(range(n_workers, n_blocks))
+        claim = threading.Lock()
 
         def work(first: int) -> None:
-            windowed = np.empty((height, window_len))
-            power = np.empty((height, self.n_bins))
-            for block in range(first, n_blocks, n_workers):
-                start = block * height
-                rows = frames[start : start + height]
+            key = (first, full_height, window_len)
+            if key not in buffers:
+                buffers[key] = np.empty((full_height, window_len)), np.empty((full_height, self.n_bins))
+            windowed, power = buffers[key]
+            block = first
+            while block is not None:
+                offset = block * height
+                rows = frames[offset : offset + height]
                 block_windowed = windowed[: len(rows)]
                 np.copyto(block_windowed, rows)  # widens float32 samples exactly
                 block_windowed *= window
-                results[block] = fn(start, _onesided_power(block_windowed, out=power[: len(rows)]))
+                results[block] = fn(start + offset, _onesided_power(block_windowed, out=power[: len(rows)]))
+                with claim:
+                    block = next(unclaimed, None)
 
-        with ThreadPoolExecutor(n_workers) as pool:  # starts one thread per submit: none for one worker
+        with nullcontext(shared) if shared else _power_workers(n_workers - 1) as (pool, buffers):
             helpers = [pool.submit(work, k) for k in range(1, n_workers)]
             work(0)
             for helper in helpers:
                 helper.result()
         return results
+
+
+@contextmanager
+def _power_workers(n_helpers: int) -> Iterator[tuple[ThreadPoolExecutor, dict]]:
+    """A pool of up to ``n_helpers`` helper threads, which end with the block,
+    and an empty dict for the workers' buffers. The pool starts one thread
+    per submit, up to its size: none for a worker alone."""
+    with ThreadPoolExecutor(max(1, n_helpers)) as pool:
+        yield pool, {}
+
+
+#: The helper threads and worker buffers of the ``_shared_power_workers``
+#: block running in this context, if any.
+_SHARED_WORKERS: ContextVar[tuple[ThreadPoolExecutor, dict] | None] = ContextVar("_SHARED_WORKERS", default=None)
+
+
+@contextmanager
+def _shared_power_workers() -> Iterator[None]:
+    """Keep one pool of helper threads, and each worker's buffers, for every
+    ``_map_power_blocks`` call made in this context inside the block.
+
+    A caller that maps one chunk of frames after another then starts the
+    threads and faults in the buffers' pages once, not once per chunk. The
+    calls must not nest, and the threads end with the block.
+    """
+    with _power_workers(_usable_cpus() - 1) as workers:
+        token = _SHARED_WORKERS.set(workers)
+        try:
+            yield
+        finally:
+            _SHARED_WORKERS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -263,19 +318,26 @@ def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile
     return BandPowerProfile(tuple(kept), 10.0 * np.log10(np.maximum(totals, _DB_FLOOR_POWER)))
 
 
-def frame_band_powers(spec: Spectrogram, bands: Sequence[Band]) -> np.ndarray:
-    """Per-frame band powers [n_frames x n_bands] in mean-square units.
+def frame_band_powers(spec: Spectrogram, bands: Sequence[Band], start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Per-frame band powers [stop - start x n_bands] in mean-square units.
 
-    Normalized by N * sum(hann^2) so stationary noise of variance s^2 yields
-    band powers summing to ~s^2, directly comparable with ``band_powers``.
-    Each band is summed over its own bins alone, so its column does not
-    depend on which other bands are asked for, nor on the block layout.
+    The frames are [start, stop), by default all of them; a range outside
+    [0, n_frames) or an empty one raises ValueError. Normalized by
+    N * sum(hann^2) so stationary noise of variance s^2 yields band powers
+    summing to ~s^2, directly comparable with ``band_powers``. Each band is
+    summed over its own bins alone, so its column does not depend on which
+    other bands are asked for, nor on the block layout or the frame range.
     """
     window = _hann(spec.window_len)
     norm = spec.window_len * float(np.sum(window**2))
     sum_into = _band_summer(spec.bin_frequencies_hz, bands)
-    out = np.zeros((spec.n_frames, len(bands)))
-    spec._map_power_blocks(lambda start, block: sum_into(block, out[start : start + len(block)]))
+    start, stop = spec._frame_range(start, stop)
+    out = np.zeros((stop - start, len(bands)))
+
+    def sum_block(first: int, block: np.ndarray) -> None:
+        sum_into(block, out[first - start : first - start + len(block)])
+
+    spec._map_power_blocks(sum_block, start, stop)
     out /= norm
     return out
 

@@ -14,7 +14,7 @@ from clickdetect.audio_io import SampleBuffer
 from clickdetect.detector import (
     ClickDetector,
     DetectionEvent,
-    _background_and_flags,
+    _BackgroundPass,
     _burst_reference,
     _burst_total,
     _clean_window,
@@ -84,17 +84,25 @@ class TestClickSignature:
             dataclasses.replace(ClickDetector(), **kwargs)
 
 
-def pass_backgrounds(band_power, burst_cols, tail_cols, detector, win):
+def pass_backgrounds(band_power, burst_cols, tail_cols, detector, win, edges=None):
     """The pass's flags, and every frame's background: the median of its clean
-    window under them, over all of ``band_power``'s columns."""
+    window under them, over all of ``band_power``'s columns. The pass is fed
+    the frames between successive ``edges``, or all of them at once."""
     gated = band_power[:, list(burst_cols) + list(tail_cols)]
-    burst, tail, _ = _background_and_flags(gated, len(burst_cols), detector, win)
+    T = len(gated)
+    background_pass = _BackgroundPass(T, len(burst_cols), detector, win, RATE)
+    edges = [0, T] if edges is None else edges
+    for start, stop in zip(edges, edges[1:]):
+        background_pass.feed(gated[start:stop])
+    burst, tail = background_pass.burst, background_pass.tail
     clean = ~(burst | tail)
     latest = np.maximum.accumulate(np.where(clean, np.arange(len(clean)), -1))
     before = np.concatenate(([-1], latest[:-1]))
-    bg = np.array([_median(_clean_window(band_power, clean, t, win)[1], band_power[max(last, 0)])
-                   for t, last in enumerate(before)])
-    return bg.reshape(band_power.shape), burst, tail
+    bg = []
+    for t, last in enumerate(before):
+        ranked = _clean_window(band_power, clean, t, win)[1]
+        bg.append(_median(ranked) if len(ranked) else band_power[max(last, 0)])
+    return np.array(bg).reshape(band_power.shape), burst, tail
 
 
 def background(spec, bands):
@@ -191,17 +199,19 @@ class TestBackgroundPass:
     how the pass settled it: as a block start, from its exact median, or by
     bounds as a hit or a miss. A block that starts before its stride is up (a
     restart at a frame the previous block's bounds left open) is tallied too,
-    with the frames its own bounds settle after it."""
+    with the frames its own bounds settle after it. Each case is run again
+    with the pass fed in chunks of random sizes, and must give the same flags."""
 
     @pytest.fixture
     def block_starts(self, monkeypatch):
         starts = []
+        settle = _BackgroundPass._settle_block
 
-        def recording(band_power, clean, t, win):
-            starts.append(t)
-            return _clean_window(band_power, clean, t, win)
+        def recording(self, t0):
+            starts.append(t0)
+            return settle(self, t0)
 
-        monkeypatch.setattr(detector_module, "_clean_window", recording)
+        monkeypatch.setattr(_BackgroundPass, "_settle_block", recording)
         return starts
 
     def compare(self, rng, block_starts, detector, win, T, n_bands):
@@ -214,6 +224,18 @@ class TestBackgroundPass:
         cols = rng.permutation(n_bands).tolist()
         split = int(rng.integers(0, min(n_bands, 4) + 1))
         burst_cols, tail_cols = sorted(cols[:split]), sorted(cols[split:])
+        # Chunk sizes from their own stream, so the cases stay those drawn
+        # before chunked feeding was tested.
+        sizes = np.random.default_rng([T, win, n_bands]).integers(1, 2 * win + 2, size=T)
+        edges = [0, *(int(e) for e in np.cumsum(sizes) if e < T), T]
+
+        want, seen = reference_background_and_flags(band_power, burst_cols, tail_cols, detector, win)
+        block_starts.clear()
+        chunked = pass_backgrounds(band_power, burst_cols, tail_cols, detector, win, edges)
+        for name, a, b in zip(("bg", "burst", "tail"), chunked, want):
+            assert np.array_equal(a, b), f"{name} differs fed in chunks (T={T}, win={win}, edges={edges})"
+        # no block crosses a chunk's edge
+        assert block_starts == sorted(set(block_starts)) and set(edges[:-1]) <= set(block_starts)
 
         block_starts.clear()
         got = pass_backgrounds(band_power, burst_cols, tail_cols, detector, win)
@@ -221,7 +243,6 @@ class TestBackgroundPass:
         assert starts == sorted(set(starts)) and starts[:1] == [0], starts
         is_start = np.zeros(T, dtype=bool)
         is_start[starts] = True
-        want, seen = reference_background_and_flags(band_power, burst_cols, tail_cols, detector, win)
         for name, a, b in zip(("bg", "burst", "tail"), got, want):
             assert np.array_equal(a, b), f"{name} differs (T={T}, win={win})"
         flagged = got[1] | got[2]
@@ -588,6 +609,77 @@ class TestLevelStep:
     def test_click_in_a_floor_that_was_always_high(self, seed):
         mix, truth = level_step_mix(seed, 0.0)
         assert match_detections(ClickDetector().predict(mix), truth).true_positives == 1
+
+
+#: Chunk sizes, in frames, given the background window in frames.
+CHUNKED = (lambda win: 1, lambda win: win - 1, lambda win: win, lambda win: win + 1, lambda win: 3 * win + 7)
+
+
+def chunk_mix(rate: int):
+    """14 s of factory noise at ``rate`` with 18 dB clicks and a 5.5 s loud
+    stretch of 1.5-6 kHz hiss, which flags tail frames from 7 s on. Returns
+    the mix, the background window in frames, the frames at which clicks
+    start, and the stretch's first and last frame.
+
+    A click starts at a chunk boundary of each chunk size of ``CHUNKED`` but
+    the first, about 2, 4, 6 and 12 s in, so its burst run and tail cross
+    it. The last sits in the stretch, where its window holds no clean frame
+    and its reference is the row of a frame older than any the pass holds."""
+    hop = ClickDetector().hop
+    win = round(ClickDetector().background_window_s / (hop / rate))
+    starts = [k * size(win) for k, size in zip((1, 2, 3, 2), CHUNKED[1:])]
+    cfg = SimConfig(sample_rate_hz=rate, seed=rate % 97, duration_s=14.0, transient_rate_hz=2.0,
+                    click_times_s=tuple(b * hop / rate for b in starts), target_snr_db=18.0)
+    mix, _ = mix_at_snr(synth_click(rate, 3), factory_noise(cfg), cfg)
+    x = mix.samples.copy()
+    i0, i1 = round(7.0 * rate), round(12.5 * rate)
+    spectrum = np.fft.rfft(np.random.default_rng(rate).standard_normal(i1 - i0))
+    f = np.fft.rfftfreq(i1 - i0, 1.0 / rate)
+    spectrum[(f < 1500.0) | (f > 6000.0)] = 0.0
+    hiss = np.fft.irfft(spectrum, i1 - i0)
+    x[i0:i1] += 0.1 * hiss / np.sqrt(np.mean(hiss**2))
+    return SampleBuffer(np.clip(x, -1.0, 1.0), rate), win, starts, (i0 // hop, i1 // hop)
+
+
+class TestChunkedDetection:
+    """The band powers reach the background pass one chunk of frames at a time."""
+
+    @pytest.mark.parametrize("rate", [44100, RATE, 96000])
+    def test_events_do_not_depend_on_the_chunk_size(self, monkeypatch, rate):
+        mix, win, starts, (s0, s1) = chunk_mix(rate)
+        detector = ClickDetector()
+        hop, window_len = detector.hop, detector.window_len
+        want = detector.predict(mix)
+        assert want
+        for size in CHUNKED:
+            chunk = size(win)
+            monkeypatch.setattr(detector_module, "_CHUNK_FRAMES", chunk)
+            assert detector.predict(mix) == want, f"chunks of {chunk} frames"
+            # Some kept burst run and its tail cross a boundary, and so does the stretch.
+            crossing = False
+            for e in want:
+                first = round((e.onset_s * rate - window_len + hop) / hop)
+                burst, tail = (round((d * rate - hop + window_len) / hop) if d else 0
+                               for d in (e.burst_duration_s, e.tail_duration_s))
+                crossing |= tail > 0 and first // chunk != (first + burst + tail - 1) // chunk
+            assert crossing and s0 // chunk != s1 // chunk, f"chunks of {chunk} frames"
+        # The click in the stretch is found, against the carried background.
+        assert any(abs(e.onset_s - starts[-1] * hop / rate) < 0.05 for e in want)
+
+    def test_memory_does_not_grow_with_the_recording(self):
+        # The pass keeps 10 bytes a frame, 0.23 MB per 120 s at 48 kHz; the
+        # whole matrix of gated band powers took 112 bytes a frame more.
+        noise = 0.05 * np.random.default_rng(12).standard_normal(240 * RATE, dtype=np.float32)
+        peaks = []
+        for seconds in (120, 240):
+            buf = SampleBuffer(noise[: seconds * RATE], RATE)
+            tracemalloc.start()
+            try:
+                ClickDetector().predict(buf)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6, peaks
 
 
 class TestDetectionEvent:

@@ -276,8 +276,8 @@ class TestMixAtSnr:
         detector = ClickDetector()
 
         def burst_track(buffer):
-            power, n_burst = _gated_band_power(buffer, detector)
-            return power[:, :n_burst].sum(axis=1)
+            with _gated_band_power(buffer, detector) as (_, n_burst, chunks):
+                return np.concatenate([power[:, :n_burst].sum(axis=1) for power in chunks])
 
         cfg = SimConfig(sample_rate_hz=rate, seed=14, duration_s=8.0, click_times_s=(4.0,), target_snr_db=target)
         noise = pink_noise(cfg)

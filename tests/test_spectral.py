@@ -279,6 +279,25 @@ class TestFrameBandPowers:
             np.testing.assert_allclose(blocked, power @ columns / norm, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("window_len", [256, 1024])
+    def test_frame_range_is_a_slice_of_the_whole(self, rng, window_len):
+        # Any range, blocks or not, gives the whole matrix's rows bit for bit.
+        hop = window_len // 4
+        block = _STFT_BLOCK_SAMPLES // window_len
+        spec = stft(SampleBuffer(0.1 * rng.standard_normal(hop * (3 * block + 6) + window_len), RATE), window_len, hop)
+        bands = third_octave_bands(100, RATE / 2)
+        whole = frame_band_powers(spec, bands)
+        T = spec.n_frames
+        for start, stop in [(0, 1), (T - 1, T), (1, block + 2), (block - 1, 2 * block + 1), (5, T), (0, T)]:
+            assert np.array_equal(frame_band_powers(spec, bands, start, stop), whole[start:stop]), (start, stop)
+        assert np.array_equal(frame_band_powers(spec, bands, T - 3), whole[T - 3 :])
+
+    @pytest.mark.parametrize("start, stop", [(-1, 4), (3, 3), (4, 2), (0, 10**6)])
+    def test_empty_or_outside_frame_range_rejected(self, start, stop):
+        spec = stft(SampleBuffer(np.zeros(8192), RATE), 1024, 256)
+        with pytest.raises(ValueError, match="frame range"):
+            frame_band_powers(spec, third_octave_bands(100, 20000), start, stop)
+
 def reference_pgm(power: np.ndarray, db_floor: float) -> bytes:
     """The P5 image of a [frames x bins] power matrix, as one whole-array formula."""
     peak = float(power.max(initial=0.0))
