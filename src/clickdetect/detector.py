@@ -31,7 +31,7 @@ from .audio_io import SampleBuffer
 from .spectral import (
     _bands_within_nyquist,
     _check_framing,
-    _shared_power_workers,
+    _PowerWorkers,
     frame_band_powers,
     stft,
     third_octave_bands,
@@ -167,8 +167,8 @@ class DetectionEvent:
 #: Frames whose gates one sorted window settles at once (``_BackgroundPass``).
 _BLOCK = 64
 #: Frames whose gated band powers are computed and fed to the background pass
-#: at once: 64 of ``_map_power_blocks``' blocks at window_len 1024, and a
-#: whole number of blocks at every window_len.
+#: at once: 43.7 s at 48 kHz, and 64 of ``_PowerJob``'s blocks at window_len
+#: 1024, a whole number of them at every window_len.
 _CHUNK_FRAMES = 8192
 
 
@@ -341,9 +341,11 @@ def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> Iterator
     the 1/3-octave grid from 100 Hz up to Nyquist. The tail bands are picked
     by center, so where the grid starts matters only to a ``tail_band_hz``
     reaching below it. Entering gives the frame count, the number of burst
-    columns, and an iterator over the chunks of rows in frame order, each
-    computed by ``frame_band_powers`` as it is reached, on band-power threads
-    that end with the block. Entering raises, in this order, for a buffer
+    columns, and an iterator over the chunks of rows in frame order. Each
+    chunk is asked of ``frame_band_powers`` on the thread that takes it from
+    the iterator, with one pool of band-power workers for the recording. The
+    pool's helpers compute the next chunk while the caller uses this one,
+    and end with the block. Entering raises, in this order, for a buffer
     shorter than a window, a hop coarser than ``burst_min_s``, a tail band
     above Nyquist, or no burst or tail band.
     """
@@ -369,12 +371,11 @@ def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> Iterator
         raise ValueError(f"no band centered inside tail_band_hz={detector.tail_band_hz}")
     gated = [bands[i] for i in burst_cols + tail_cols]
     n_frames = spec.n_frames
-    chunks = (
-        frame_band_powers(spec, gated, start, min(start + _CHUNK_FRAMES, n_frames))
-        for start in range(0, n_frames, _CHUNK_FRAMES)
-    )
-    with _shared_power_workers():
-        yield n_frames, len(burst_cols), chunks
+    with _PowerWorkers() as workers:
+        yield n_frames, len(burst_cols), (
+            frame_band_powers(spec, gated, start, min(start + _CHUNK_FRAMES, n_frames), workers=workers)
+            for start in range(0, n_frames, _CHUNK_FRAMES)
+        )
 
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:

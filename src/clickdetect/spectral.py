@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
-from contextvars import ContextVar
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,6 +35,10 @@ __all__ = [
 _DB_FLOOR_POWER = 1e-30  # -300 dB, stands in for log(0)
 #: Windowed samples per FFT block (1 MiB of float64): 128 frames at window_len 1024.
 _STFT_BLOCK_SAMPLES = 131072
+#: Ranges of band powers that a pool's helpers compute ahead of the caller
+#: (``frame_band_powers``). One keeps a helper busy while the caller uses
+#: the range it was given, whenever that takes less time than computing it.
+_RUN_AHEAD = 1
 
 _T = TypeVar("_T")
 
@@ -71,10 +73,12 @@ class Spectrogram:
 
     The power of frame k is one-sided |DFT|^2 of the Hann-windowed samples
     [k*hop, k*hop + window_len), interior bins doubled so each frame satisfies
-    Parseval. No power is stored: ``_map_power_blocks`` computes it one block
-    of frames at a time, on every CPU the process may use, and
-    ``frame_band_powers`` and ``spectrogram_image`` each consume it block by
-    block. The power does not depend on how many CPUs compute it.
+    Parseval. No power is stored: a ``_PowerJob`` computes it one block of
+    frames at a time, on the calling thread and on a helper thread for each
+    further CPU the process may use (``_PowerWorkers``). ``spectrogram_image``
+    consumes it block by block; ``frame_band_powers`` sums half of it into
+    bands and doubles the sums, which keeps their bits. The power does not
+    depend on how many CPUs compute it.
     """
 
     buffer: SampleBuffer
@@ -112,90 +116,189 @@ class Spectrogram:
         return start, stop
 
     def _map_power_blocks(self, fn: Callable[[int, np.ndarray], _T], start: int = 0, stop: int | None = None) -> list[_T]:
-        """``fn(first, power)`` for every block of frames [start, stop), in block order.
-
-        ``power`` holds the power of frames first, first + 1, ...: up to
-        ``_STFT_BLOCK_SAMPLES // window_len`` rows, fewer in the last block.
-        The blocks start at ``start`` (frame 0 by default) and the last ends
-        at ``stop`` (``n_frames`` by default). The windowed frames and their
-        spectra never exist for the whole recording.
-
-        The blocks are computed on every CPU the process may use: worker k of
-        n takes block k, then the first block no worker has taken, so a
-        worker that starts late or stalls holds up no other. The calling
-        thread is worker 0, and the others are threads that end with the
-        call, or with the enclosing ``_shared_power_workers`` block. Each
-        worker owns its ``power`` buffer, which ``fn`` may overwrite and which
-        the worker's next block refills. So ``fn`` runs concurrently with
-        itself and must write only outputs of its own block. The power is computed row by row, so it
-        depends neither on the number of workers nor on the frame range.
-        """
-        start, stop = self._frame_range(start, stop)
-        window_len, hop = self.window_len, self.hop
-        frames = np.lib.stride_tricks.sliding_window_view(self.buffer.samples, window_len)[start * hop : stop * hop : hop]
-        window = _hann(window_len)
-        full_height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), self.n_frames)
-        height = min(full_height, stop - start)
-        n_blocks = -(-(stop - start) // height)
-        n_workers = min(_usable_cpus(), n_blocks)
-        results: list = [None] * n_blocks
-        shared = _SHARED_WORKERS.get()
-        unclaimed = iter(range(n_workers, n_blocks))
-        claim = threading.Lock()
-
-        def work(first: int) -> None:
-            key = (first, full_height, window_len)
-            if key not in buffers:
-                buffers[key] = np.empty((full_height, window_len)), np.empty((full_height, self.n_bins))
-            windowed, power = buffers[key]
-            block = first
-            while block is not None:
-                offset = block * height
-                rows = frames[offset : offset + height]
-                block_windowed = windowed[: len(rows)]
-                np.copyto(block_windowed, rows)  # widens float32 samples exactly
-                block_windowed *= window
-                results[block] = fn(start + offset, _onesided_power(block_windowed, out=power[: len(rows)]))
-                with claim:
-                    block = next(unclaimed, None)
-
-        with nullcontext(shared) if shared else _power_workers(n_workers - 1) as (pool, buffers):
-            helpers = [pool.submit(work, k) for k in range(1, n_workers)]
-            work(0)
-            for helper in helpers:
-                helper.result()
-        return results
+        """``fn(first, power)`` for every block of frames [start, stop), in
+        block order (``_PowerJob``), on a ``_PowerWorkers`` pool that ends
+        with the call."""
+        job = _PowerJob(self, fn, start, stop)
+        with _PowerWorkers() as workers:
+            return workers.run(job)
 
 
-@contextmanager
-def _power_workers(n_helpers: int) -> Iterator[tuple[ThreadPoolExecutor, dict]]:
-    """A pool of up to ``n_helpers`` helper threads, which end with the block,
-    and an empty dict for the workers' buffers. The pool starts one thread
-    per submit, up to its size: none for a worker alone."""
-    with ThreadPoolExecutor(max(1, n_helpers)) as pool:
-        yield pool, {}
+class _PowerJob:
+    """``fn(first, power)`` for every block of frames [start, stop) of ``spec``.
 
+    ``power`` holds the power of frames first, first + 1, ...: up to
+    ``_STFT_BLOCK_SAMPLES // window_len`` rows, fewer in the last block. With
+    ``halved`` it holds half the power (``_onesided_power``). The blocks
+    start at ``start`` (frame 0 by default) and the last ends at ``stop``
+    (``n_frames`` by default). The windowed frames and their spectra never
+    exist for the whole range.
 
-#: The helper threads and worker buffers of the ``_shared_power_workers``
-#: block running in this context, if any.
-_SHARED_WORKERS: ContextVar[tuple[ThreadPoolExecutor, dict] | None] = ContextVar("_SHARED_WORKERS", default=None)
-
-
-@contextmanager
-def _shared_power_workers() -> Iterator[None]:
-    """Keep one pool of helper threads, and each worker's buffers, for every
-    ``_map_power_blocks`` call made in this context inside the block.
-
-    A caller that maps one chunk of frames after another then starts the
-    threads and faults in the buffers' pages once, not once per chunk. The
-    calls must not nest, and the threads end with the block.
+    Workers take the blocks one at a time, in order (``claim``). Each
+    computes a block in buffers of its own, which ``fn`` may overwrite and
+    which the worker's next block refills. So ``fn`` runs concurrently with
+    itself and must write only outputs of its own block. The power is
+    computed row by row, so it depends neither on the number of workers nor
+    on the frame range. ``key``, when not None, names the job for
+    ``_PowerWorkers.queued``.
     """
-    with _power_workers(_usable_cpus() - 1) as workers:
-        token = _SHARED_WORKERS.set(workers)
+
+    halved = False
+    key: Hashable = None
+
+    def __init__(self, spec: Spectrogram, fn: Callable[[int, np.ndarray], object], start: int = 0, stop: int | None = None) -> None:
+        start, stop = spec._frame_range(start, stop)
+        window_len, hop = spec.window_len, spec.hop
+        self.fn, self.start = fn, start
+        self.frames = np.lib.stride_tricks.sliding_window_view(spec.buffer.samples, window_len)[start * hop : stop * hop : hop]
+        self.window = _hann(window_len)
+        self.full_height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), spec.n_frames)
+        self.height = min(self.full_height, stop - start)
+        self.n_blocks = -(-(stop - start) // self.height)
+        self.results: list = [None] * self.n_blocks
+        self.claimed = 0  # blocks handed out: the first ``claimed``
+        self.running = 0  # blocks handed out and not yet computed
+        self.error: BaseException | None = None
+
+    def claim(self) -> int | None:
+        """The next block for a worker, or None once all are taken or one
+        failed. The caller holds the pool's lock."""
+        if self.claimed == self.n_blocks or self.error is not None:
+            return None
+        self.claimed += 1
+        self.running += 1
+        return self.claimed - 1
+
+    def compute(self, block: int, buffers: dict) -> None:
+        """Compute ``block`` in ``buffers``, the calling worker's, and hand it to ``fn``."""
+        window_len = len(self.window)
+        shape = (self.full_height, window_len)
+        if shape not in buffers:
+            buffers[shape] = np.empty(shape), np.empty((self.full_height, window_len // 2 + 1))
+        windowed, power = buffers[shape]
+        offset = block * self.height
+        rows = self.frames[offset : offset + self.height]
+        block_windowed = windowed[: len(rows)]
+        np.copyto(block_windowed, rows)  # widens float32 samples exactly
+        block_windowed *= self.window
+        power = _onesided_power(block_windowed, out=power[: len(rows)], halved=self.halved)
+        self.results[block] = self.fn(self.start + offset, power)
+
+
+class _PowerWorkers:
+    """The calling thread and up to ``_usable_cpus() - 1`` helper threads,
+    computing the blocks of ``_PowerJob``s; a context manager.
+
+    Only the thread that made the pool may use it. ``run`` computes a job on
+    that thread and on the helpers. ``queue`` lets the helpers start a job
+    before ``run`` asks for it, so they keep busy while the caller does other
+    work. A worker takes the first block no worker has taken, of the oldest
+    job queued, so a worker that starts late or stalls holds up no other. A
+    helper with no block to take sleeps until a job is queued. The helper
+    threads start as jobs need them, none for a job of one block, and end
+    with the ``with`` block. Each worker keeps its buffers for every job.
+    """
+
+    def __init__(self) -> None:
+        self.max_helpers = _usable_cpus() - 1
+        self._helpers: list[threading.Thread] = []
+        self._lock = threading.Lock()
+        self._work_queued = threading.Condition(self._lock)
+        self._block_done = threading.Condition(self._lock)
+        self._jobs: deque[_PowerJob] = deque()  # oldest first
+        self._buffers: dict = {}  # the calling thread's
+        self._closed = False
+
+    def __enter__(self) -> _PowerWorkers:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._closed = True
+            self._work_queued.notify_all()
+        for helper in self._helpers:
+            helper.join()
+
+    def queued(self, key: Hashable) -> _PowerJob | None:
+        """The queued job named ``key``, if any."""
+        with self._lock:
+            return next((job for job in self._jobs if job.key == key), None)
+
+    def queue(self, job: _PowerJob) -> None:
+        """Let the helpers compute ``job`` once they have taken every block
+        of the jobs queued before it."""
+        with self._lock:
+            self._jobs.append(job)
+            self._start_helpers(job.n_blocks)
+
+    def run(self, job: _PowerJob) -> list:
+        """Compute ``job`` on this thread and the helpers, and return its
+        blocks' results in block order. An error raised on any worker is
+        raised here, once no worker computes a block of ``job``.
+
+        The jobs queued before ``job`` are dropped, and those after it stay.
+        """
+        with self._lock:
+            while self._jobs and self._jobs[0] is not job:
+                self._jobs.popleft()
+            if not self._jobs:
+                self._jobs.append(job)
+            self._start_helpers(job.n_blocks - 1)
+        while True:
+            with self._lock:
+                block = job.claim()
+                if block is None:
+                    self._block_done.wait_for(lambda: not job.running)
+                    self._jobs.popleft()
+                    break
+            self._compute(job, block, self._buffers)
+        if job.error is not None:
+            raise job.error
+        return job.results
+
+    def _start_helpers(self, count: int) -> None:
+        """Wake the helpers, starting more up to ``count``. The caller holds the lock."""
+        while len(self._helpers) < min(self.max_helpers, count):
+            helper = threading.Thread(target=self._help, name="band-power helper", daemon=True)
+            helper.start()
+            self._helpers.append(helper)
+        self._work_queued.notify_all()
+
+    def _help(self) -> None:
+        buffers: dict = {}
+        while True:
+            with self._lock:
+                while True:
+                    if self._closed:
+                        return
+                    job, block = self._claim_queued()
+                    if job is not None:
+                        break
+                    self._work_queued.wait()
+            self._compute(job, block, buffers)
+
+    def _claim_queued(self) -> tuple[_PowerJob, int] | tuple[None, None]:
+        """A block claimed from the oldest queued job that has one left, and
+        its job, or two Nones. The caller holds the lock."""
+        for job in self._jobs:
+            block = job.claim()
+            if block is not None:
+                return job, block
+        return None, None
+
+    def _compute(self, job: _PowerJob, block: int, buffers: dict) -> None:
+        """Compute ``block`` of ``job`` and mark it done, keeping the first
+        error any block of ``job`` raised for ``run`` to raise."""
         try:
-            yield
-        finally:
-            _SHARED_WORKERS.reset(token)
+            job.compute(block, buffers)
+            error = None
+        except BaseException as exc:  # raised again by ``run``, on the calling thread
+            error = exc
+        with self._lock:
+            job.running -= 1
+            if job.error is None:
+                job.error = error
+            self._block_done.notify()
 
 
 @dataclass(frozen=True)
@@ -219,11 +322,21 @@ def _hann(window_len: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / window_len)
 
 
-def _onesided_power(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _onesided_power(frames: np.ndarray, out: np.ndarray | None = None, halved: bool = False) -> np.ndarray:
+    """One-sided |DFT|^2 of each row of ``frames``, interior bins doubled so
+    the row satisfies Parseval; with ``halved``, half of that, which spares
+    doubling the interior bins. Halving DC and Nyquist is exact, bar a
+    subnormal power, so a sum of halved bins, doubled, has the bits of the
+    sum of the doubled ones."""
     spectrum = np.fft.rfft(frames, axis=-1)
     power = np.abs(spectrum, out=out)
     np.square(power, out=power)
-    if frames.shape[-1] % 2 == 0:
+    even = frames.shape[-1] % 2 == 0
+    if halved:
+        power[..., 0] *= 0.5
+        if even:
+            power[..., -1] *= 0.5
+    elif even:
         power[..., 1:-1] *= 2.0  # DC and Nyquist appear once
     else:
         power[..., 1:] *= 2.0
@@ -318,7 +431,41 @@ def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile
     return BandPowerProfile(tuple(kept), 10.0 * np.log10(np.maximum(totals, _DB_FLOOR_POWER)))
 
 
-def frame_band_powers(spec: Spectrogram, bands: Sequence[Band], start: int = 0, stop: int | None = None) -> np.ndarray:
+class _BandPowerJob(_PowerJob):
+    """``frame_band_powers``' job: the band powers of frames [start, stop) of
+    ``spec``, each block's rows summed into ``out`` by the worker that
+    computed it. Named by ``_band_power_key``."""
+
+    halved = True
+
+    def __init__(self, spec: Spectrogram, bands: tuple[Band, ...], start: int, stop: int) -> None:
+        window = _hann(spec.window_len)
+        norm = spec.window_len * float(np.sum(window**2))
+        sum_into = _band_summer(spec.bin_frequencies_hz, bands)
+        self.out = out = np.zeros((stop - start, len(bands)))
+
+        def sum_block(first: int, half_power: np.ndarray) -> None:
+            rows = out[first - start : first - start + len(half_power)]
+            sum_into(half_power, rows)
+            rows /= 0.5 * norm  # the band sums of the full power, over norm
+
+        super().__init__(spec, sum_block, start, stop)
+        self.key = _band_power_key(spec, bands, start, stop)
+
+
+def _band_power_key(spec: Spectrogram, bands: tuple[Band, ...], start: int, stop: int) -> tuple:
+    # A queued job holds its spectrogram, so no other can have its id.
+    return id(spec), bands, start, stop
+
+
+def frame_band_powers(
+    spec: Spectrogram,
+    bands: Sequence[Band],
+    start: int = 0,
+    stop: int | None = None,
+    *,
+    workers: _PowerWorkers | None = None,
+) -> np.ndarray:
     """Per-frame band powers [stop - start x n_bands] in mean-square units.
 
     The frames are [start, stop), by default all of them; a range outside
@@ -327,19 +474,32 @@ def frame_band_powers(spec: Spectrogram, bands: Sequence[Band], start: int = 0, 
     summing to ~s^2, directly comparable with ``band_powers``. Each band is
     summed over its own bins alone, so its column does not depend on which
     other bands are asked for, nor on the block layout or the frame range.
+
+    The blocks are computed on ``workers``, else on a pool made for the
+    call. A pool that is passed in lends its helpers for longer: after the
+    call they compute the ``_RUN_AHEAD`` ranges of the same length that
+    follow, [stop, 2 * stop - start) and so on, cut at ``n_frames``. So a
+    caller that asks for consecutive ranges finds each one begun, or done;
+    one that asks for another range drops that work.
     """
-    window = _hann(spec.window_len)
-    norm = spec.window_len * float(np.sum(window**2))
-    sum_into = _band_summer(spec.bin_frequencies_hz, bands)
     start, stop = spec._frame_range(start, stop)
-    out = np.zeros((stop - start, len(bands)))
-
-    def sum_block(first: int, block: np.ndarray) -> None:
-        sum_into(block, out[first - start : first - start + len(block)])
-
-    spec._map_power_blocks(sum_block, start, stop)
-    out /= norm
-    return out
+    bands = tuple(bands)
+    if workers is None:
+        job = _BandPowerJob(spec, bands, start, stop)
+        with _PowerWorkers() as own:
+            own.run(job)
+        return job.out
+    job = workers.queued(_band_power_key(spec, bands, start, stop)) or _BandPowerJob(spec, bands, start, stop)
+    workers.run(job)
+    first = stop
+    for _ in range(_RUN_AHEAD if workers.max_helpers else 0):
+        last = min(first + stop - start, spec.n_frames)
+        if first == last:
+            break
+        if workers.queued(_band_power_key(spec, bands, first, last)) is None:
+            workers.queue(_BandPowerJob(spec, bands, first, last))
+        first = last
+    return job.out
 
 
 def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80.0) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -665,6 +666,95 @@ class TestChunkedDetection:
             assert crossing and s0 // chunk != s1 // chunk, f"chunks of {chunk} frames"
         # The click in the stretch is found, against the carried background.
         assert any(abs(e.onset_s - starts[-1] * hop / rate) < 0.05 for e in want)
+
+    def predict_on_two_cpus(self, monkeypatch, buffer):
+        """``predict(buffer)`` with a band-power helper and 1,024-frame chunks,
+        on a thread joined with a timeout: what it raised, or None."""
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(detector_module, "_CHUNK_FRAMES", 1024)
+        raised = []
+
+        def run():
+            try:
+                ClickDetector().predict(buffer)
+            except Exception as exc:
+                raised.append(exc)
+
+        before = threading.active_count()
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "predict hung"
+        assert threading.active_count() == before  # no helper thread outlives it
+        return raised[0] if raised else None
+
+    def test_no_thread_outlives_a_failed_pass(self, monkeypatch):
+        feed = _BackgroundPass.feed
+        chunks = []
+
+        def fail_on_the_second_chunk(self, power):
+            chunks.append(len(power))
+            if len(chunks) == 2:
+                raise ArithmeticError("second chunk")
+            feed(self, power)
+
+        monkeypatch.setattr(_BackgroundPass, "feed", fail_on_the_second_chunk)
+        noise = SampleBuffer(0.05 * np.random.default_rng(3).standard_normal(20 * RATE), RATE)
+        error = self.predict_on_two_cpus(monkeypatch, noise)
+        assert isinstance(error, ArithmeticError) and str(error) == "second chunk"
+
+    def test_no_thread_outlives_a_helpers_error(self, monkeypatch):
+        # The helper fails on a chunk it computes ahead, while the pass
+        # runs; the error reaches predict when the pass asks for that chunk.
+        onesided_power, feed = spectral._onesided_power, _BackgroundPass.feed
+        callers, fed, failed = set(), [], []
+
+        def note_the_caller(self, power):
+            callers.add(threading.get_ident())
+            fed.append(len(power))
+            feed(self, power)
+
+        def fail_off_the_caller_once_fed(frames, *args, **kwargs):
+            if fed and threading.get_ident() not in callers:
+                failed.append(len(fed))
+                raise ArithmeticError("helper block")
+            return onesided_power(frames, *args, **kwargs)
+
+        monkeypatch.setattr(_BackgroundPass, "feed", note_the_caller)
+        monkeypatch.setattr(spectral, "_onesided_power", fail_off_the_caller_once_fed)
+        noise = SampleBuffer(0.05 * np.random.default_rng(4).standard_normal(20 * RATE), RATE)
+        error = self.predict_on_two_cpus(monkeypatch, noise)
+        assert isinstance(error, ArithmeticError) and str(error) == "helper block"
+        assert failed  # raised on the helper thread, after the pass began
+
+    def test_run_ahead_stays_bounded(self, monkeypatch):
+        # A slow pass: the helper computes at most _RUN_AHEAD chunks beyond
+        # the one being fed, and it does run ahead.
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        chunk = 1024
+        monkeypatch.setattr(detector_module, "_CHUNK_FRAMES", chunk)
+        onesided_power, feed = spectral._onesided_power, _BackgroundPass.feed
+        lock = threading.Lock()
+        computed, ahead = [0], []
+
+        def count_rows(frames, *args, **kwargs):
+            with lock:
+                computed[0] += len(frames)
+            return onesided_power(frames, *args, **kwargs)
+
+        def slow_feed(self, power):
+            time.sleep(0.02)
+            with lock:
+                ahead.append(computed[0] - (self.fed + len(power)))
+            feed(self, power)
+
+        monkeypatch.setattr(spectral, "_onesided_power", count_rows)
+        monkeypatch.setattr(_BackgroundPass, "feed", slow_feed)
+        noise = SampleBuffer(0.05 * np.random.default_rng(5).standard_normal(20 * RATE), RATE)
+        ClickDetector().predict(noise)
+        assert len(ahead) == 4
+        assert max(ahead) <= spectral._RUN_AHEAD * chunk, ahead
+        assert max(ahead) > 0, ahead
 
     def test_memory_does_not_grow_with_the_recording(self):
         # The pass keeps 10 bytes a frame, 0.23 MB per 120 s at 48 kHz; the

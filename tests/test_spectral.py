@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -254,7 +255,13 @@ class TestFrameBandPowers:
         block = _STFT_BLOCK_SAMPLES // window_len
         bin_hz = rate / window_len
         # Edges on bin centers: the lower edge's bin belongs, the upper edge's does not.
-        bands = third_octave_bands(100, rate / 2) + [Band(5 * bin_hz, 3 * bin_hz, 9 * bin_hz)]
+        # The bands sum half the power and double the sums, bit for bit the
+        # sums of the doubled power, also for a band holding DC or Nyquist.
+        bands = third_octave_bands(100, rate / 2) + [
+            Band(5 * bin_hz, 3 * bin_hz, 9 * bin_hz),
+            Band(rate / 3, rate / 4, 0.51 * rate),  # reaches the Nyquist bin
+            Band(bin_hz, 0.0, 3 * bin_hz),  # holds the DC bin
+        ]
         w = _hann(window_len)
         norm = window_len * float(np.sum(w**2))
         for n_frames in (1, 2, block - 1, block, block + 1, 2 * block + 1):
@@ -291,6 +298,38 @@ class TestFrameBandPowers:
         for start, stop in [(0, 1), (T - 1, T), (1, block + 2), (block - 1, 2 * block + 1), (5, T), (0, T)]:
             assert np.array_equal(frame_band_powers(spec, bands, start, stop), whole[start:stop]), (start, stop)
         assert np.array_equal(frame_band_powers(spec, bands, T - 3), whole[T - 3 :])
+
+    def test_a_pool_gives_the_same_rows_in_any_order(self, rng, monkeypatch):
+        # Consecutive ranges are computed ahead of the caller, and another
+        # range drops that work: every range holds the whole matrix's rows.
+        # More workers than CPUs, switching often: a lost update to a job's
+        # claim counts would show as a wrong row or a hang.
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 4)
+        spec = stft(SampleBuffer(0.1 * rng.standard_normal(1024 * 999 + 4096), RATE), 4096, 1024)
+        assert spec.n_frames == 1000  # blocks of 32 frames
+        bands = third_octave_bands(100, RATE / 2)
+        whole = frame_band_powers(spec, bands)
+        ranges = [(a, a + 100) for a in range(0, 1000, 100)] + [(1, 5), (5, 9), (300, 333), (333, 366)]
+        got = []
+
+        def take_in_order():
+            with spectral._PowerWorkers() as workers:
+                for start, stop in ranges:
+                    got.append(frame_band_powers(spec, bands, start, stop, workers=workers))
+
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread = threading.Thread(target=take_in_order)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert threading.active_count() == before
+        assert len(got) == len(ranges)
+        for (start, stop), rows in zip(ranges, got):
+            assert np.array_equal(rows, whole[start:stop]), (start, stop)
 
     @pytest.mark.parametrize("start, stop", [(-1, 4), (3, 3), (4, 2), (0, 10**6)])
     def test_empty_or_outside_frame_range_rejected(self, start, stop):
