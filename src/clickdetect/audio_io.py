@@ -1,8 +1,9 @@
 """WAV file I/O and the canonical mono sample buffer.
 
-Every other module operates on :class:`SampleBuffer`: mono float32 or float64
-samples in [-1, 1] plus an integer sample rate. ``read_wav`` returns float32
-whenever float32 holds every mono sample exactly; synthesis makes float64.
+Every other module operates on :class:`SampleBuffer`: mono samples in
+[-1, 1] plus an integer sample rate. ``read_wav`` keeps a 16-bit mono file as
+its int16 PCM codes and decodes any other to float32 whenever float32 holds
+every mono sample exactly; synthesis makes float64.
 Stereo input is averaged to mono at read time; there is no resampling, so
 mixing buffers of different rates is an error at the point of mixing.
 """
@@ -36,24 +37,51 @@ class WavFormatError(ValueError):
     """A file is not a RIFF/WAVE variant this library accepts."""
 
 
-@dataclass(frozen=True)
+#: The value of one 16-bit PCM code step: code c is the sample c / 2^15.
+_PCM16_SCALE = 2.0**-15
+
+
+def _scale(array: np.ndarray) -> float:
+    """The power of two that turns a stored array into its values, exactly."""
+    return _PCM16_SCALE if array.dtype == np.int16 else 1.0
+
+
+@dataclass(frozen=True, init=False)
 class SampleBuffer:
-    """Mono PCM audio as normalized floats.
+    """Mono audio: values in [-1, 1] at an integer sample rate.
 
     Attributes
     ----------
     samples : np.ndarray
-        1-D float32 or float64 array, every value finite and within [-1, 1].
-        A float32 array is kept as float32; anything else becomes float64.
+        1-D float32 or float64 array of the values, every one finite and
+        within [-1, 1], and frozen. A float32 array is kept as float32;
+        anything else becomes float64.
     sample_rate_hz : int
         Positive rate, at least ``MIN_SAMPLE_RATE_HZ``.
+
+    A buffer ``read_wav`` made of a 16-bit mono file keeps the file's int16
+    PCM codes, 2 bytes a sample. Its ``samples`` are the codes over 2^15,
+    decoded to float32 at each access into a new frozen array. The library
+    reads no buffer's ``samples``: it reads ``_array``, the kept array, whose
+    values are it times ``_scale(_array)``, exactly.
     """
 
-    samples: np.ndarray
+    def _values(self) -> np.ndarray:
+        array = self._array
+        if array.dtype != np.int16:
+            return array
+        # Every int16 and its product by a power of two are exact in float32.
+        values = np.multiply(array, np.float32(_PCM16_SCALE), dtype=np.float32)
+        values.flags.writeable = False
+        return values
+
+    # A field, so that repr, fields and dataclasses.replace see the values; the
+    # property computes them from the kept array.
+    samples: np.ndarray = property(_values)  # type: ignore[assignment]
     sample_rate_hz: int
 
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples)
+    def __init__(self, samples: np.ndarray, sample_rate_hz: int) -> None:
+        samples = np.asarray(samples)
         if samples.dtype != np.float32:
             samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
@@ -65,32 +93,53 @@ class SampleBuffer:
             raise ValueError("samples contain non-finite values")
         if max(hi, -lo) > 1.0 + 1e-12:
             raise ValueError("samples exceed full scale [-1, 1]")
-        rate = self.sample_rate_hz
+        self._keep(samples, sample_rate_hz)
+
+    def _keep(self, array: np.ndarray, sample_rate_hz: int) -> None:
+        """Check the rate and store ``array``, frozen."""
+        rate = sample_rate_hz
         if not MIN_SAMPLE_RATE_HZ <= rate < math.inf or rate != int(rate):  # NaN and inf stop before int()
             raise ValueError(
-                f"sample_rate_hz must be an integer >= {MIN_SAMPLE_RATE_HZ}, got {self.sample_rate_hz}"
+                f"sample_rate_hz must be an integer >= {MIN_SAMPLE_RATE_HZ}, got {sample_rate_hz}"
             )
         # Frozen so it can be shared freely across threads. A writeable array
         # or a view is copied first, so the caller's later writes cannot reach
         # the buffer; a frozen array that owns its data is kept as it is.
-        if samples.flags.writeable or samples.base is not None:
-            samples = samples.copy()
-            samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        if array.flags.writeable or array.base is not None:
+            array = array.copy()
+            array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
         object.__setattr__(self, "sample_rate_hz", int(rate))
 
     def __len__(self) -> int:
-        return self.samples.size
+        return self._array.size
 
     @property
     def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
+        return len(self) / self.sample_rate_hz
 
 
 def _owned_buffer(x: np.ndarray, sample_rate_hz: int) -> SampleBuffer:
-    """Wrap an array that nothing else holds: frozen first, SampleBuffer need not copy it."""
+    """Wrap an array that nothing else holds: frozen first, SampleBuffer need not copy it.
+
+    An int16 array holds 16-bit PCM codes and is kept as they are. No code is
+    checked: each gives a value c / 2^15 in [-1, 1).
+    """
     x.flags.writeable = False
-    return SampleBuffer(x, sample_rate_hz)
+    if x.dtype != np.dtype("<i2"):
+        return SampleBuffer(x, sample_rate_hz)
+    buffer = object.__new__(SampleBuffer)
+    buffer._keep(x, sample_rate_hz)
+    return buffer
+
+
+def _as_float64(buffer: SampleBuffer, copy: bool = False) -> np.ndarray:
+    """``buffer``'s values as float64, bit for bit: the kept array itself
+    when it is float64 (frozen) and ``copy`` is false, else a new array."""
+    array = buffer._array
+    if array.dtype == np.float64 and not copy:
+        return array
+    return np.multiply(array, _scale(array), dtype=np.float64)
 
 
 def read_wav(path: str | Path) -> SampleBuffer:
@@ -99,13 +148,15 @@ def read_wav(path: str | Path) -> SampleBuffer:
     Accepts 16- or 24-bit integer PCM and 32-bit float, 1 or 2 channels.
     Integer samples are scaled by the type's full-scale value (2^15 or 2^23);
     float samples are clamped to [-1, 1], infinities included. Stereo is
-    averaged to mono. The file is never held whole: the data chunk is decoded
-    about 256 KiB at a time straight into the returned samples.
+    averaged to mono. The file is never held whole: the data chunk is read
+    about 256 KiB at a time straight into the returned buffer.
 
-    The samples are float32, which holds each mono sample exactly: k / 2^15,
-    k / 2^23, a clamped float32 value, or the mean of two PCM samples (a 17-
-    or 25-bit sum over a power of two). The one exception is stereo float
-    data, whose mean of two float32 values needs float64.
+    A 16-bit mono file is kept as its int16 PCM codes, 2 bytes a sample, with
+    no decoding pass: its ``samples`` are float32, decoded at each access.
+    Every other format is decoded to float32, which holds each mono sample
+    exactly: k / 2^23, a clamped float32 value, or the mean of two PCM
+    samples (a 17- or 25-bit sum over a power of two). The one exception is
+    stereo float data, whose mean of two float32 values needs float64.
 
     Raises
     ------
@@ -121,19 +172,27 @@ def read_wav(path: str | Path) -> SampleBuffer:
         wav = _read_header(f, path)
         frame_bytes = wav.n_channels * wav.bits // 8
         per_piece = _PIECE_BYTES // frame_bytes
-        stereo_float = wav.format_tag == _FMT_IEEE_FLOAT and wav.n_channels == 2
-        samples = np.empty(wav.data_bytes // frame_bytes, np.float64 if stereo_float else np.float32)
-        piece = memoryview(bytearray(per_piece * frame_bytes))
+        n_samples = wav.data_bytes // frame_bytes
+        compact = wav.format_tag == _FMT_PCM and wav.bits == 16 and wav.n_channels == 1
+        if compact:
+            samples = np.empty(n_samples, "<i2")
+            piece = memoryview(samples.view(np.uint8))  # the codes are read into their places
+        else:
+            stereo_float = wav.format_tag == _FMT_IEEE_FLOAT and wav.n_channels == 2
+            samples = np.empty(n_samples, np.float64 if stereo_float else np.float32)
+            piece = memoryview(bytearray(per_piece * frame_bytes))
         f.seek(wav.data_start)
-        for start in range(0, samples.size, per_piece):
-            raw = piece[: min(per_piece, samples.size - start) * frame_bytes]
+        for start in range(0, n_samples, per_piece):
+            stop = min(start + per_piece, n_samples)
+            raw = piece[start * frame_bytes : stop * frame_bytes] if compact else piece[: (stop - start) * frame_bytes]
             got = f.readinto(raw) or 0
             if got != len(raw):  # the file shrank after the header scan
                 raise WavFormatError(
                     f"{path}: data chunk ended after {start * frame_bytes + got} "
                     f"of {wav.data_bytes} bytes"
                 )
-            _decode(raw, wav, samples[start : start + len(raw) // frame_bytes], path)
+            if not compact:
+                _decode(raw, wav, samples[start:stop], path)
     return _owned_buffer(samples, wav.sample_rate_hz)
 
 
@@ -246,34 +305,39 @@ def _decode(raw: memoryview, wav: _WavLayout, out: np.ndarray, path: Path) -> No
 def write_wav(buffer: SampleBuffer, path: str | Path) -> None:
     """Write a buffer as 16-bit PCM mono WAV, encoding 256 KiB of it at a time.
 
-    Round trip error is at most one 16-bit LSB (1/32768) per sample. A rate
+    Round trip error is at most one 16-bit LSB (1/32768) per sample; a buffer
+    ``read_wav`` kept as 16-bit PCM codes is written as those codes. A rate
     whose byte rate does not fit the header raises before the file opens.
     """
     if 2 * buffer.sample_rate_hz > 0xFFFFFFFF:
         raise ValueError(f"sample_rate_hz {buffer.sample_rate_hz} too high: a WAV byte rate 2 * rate exceeds 32 bits")
-    samples = buffer.samples
+    array = buffer._array
     header = b"".join(
         [
             b"RIFF",
-            struct.pack("<I", 36 + 2 * samples.size),
+            struct.pack("<I", 36 + 2 * array.size),
             b"WAVE",
             b"fmt ",
             struct.pack("<IHHIIHH", 16, _FMT_PCM, 1, buffer.sample_rate_hz,
                         buffer.sample_rate_hz * 2, 2, 16),
             b"data",
-            struct.pack("<I", 2 * samples.size),
+            struct.pack("<I", 2 * array.size),
         ]
     )
     per_piece = _PIECE_BYTES // 2
     with Path(path).open("wb") as f:
         f.write(header)
-        for start in range(0, samples.size, per_piece):
-            x = samples[start : start + per_piece] * 32768.0  # exact in float32 and float64
-            f.write(np.clip(np.rint(x, out=x), -32768, 32767, out=x).astype("<i2"))
+        for start in range(0, array.size, per_piece):
+            x = array[start : start + per_piece]
+            if array.dtype != np.int16:  # values, not 16-bit PCM codes
+                x = x * 32768.0  # exact in float32 and float64
+                x = np.clip(np.rint(x, out=x), -32768, 32767, out=x)
+            f.write(x.astype("<i2", copy=False))
 
 
 def slice_buffer(buffer: SampleBuffer, start_s: float, end_s: float) -> SampleBuffer:
-    """Return samples covering [start_s, end_s) as a new buffer.
+    """Return samples covering [start_s, end_s) as a new buffer, stored as
+    ``buffer``'s are.
 
     Sample indices are floor(start_s * rate) .. floor(end_s * rate), so slicing
     composes: slicing (1, 5) then (1, 2) equals slicing (2, 3) directly.
@@ -284,5 +348,4 @@ def slice_buffer(buffer: SampleBuffer, start_s: float, end_s: float) -> SampleBu
         )
     i0 = int(np.floor(start_s * buffer.sample_rate_hz))
     i1 = int(np.floor(end_s * buffer.sample_rate_hz))
-    i1 = min(i1, buffer.samples.size)
-    return SampleBuffer(buffer.samples[i0:i1], buffer.sample_rate_hz)
+    return _owned_buffer(buffer._array[i0:i1].copy(), buffer.sample_rate_hz)

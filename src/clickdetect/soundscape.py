@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio_io import SampleBuffer, _owned_buffer, write_wav
+from .audio_io import SampleBuffer, _as_float64, _owned_buffer, write_wav
 from .detector import ClickDetector, _burst_total, _gated_band_power, _require_finite, _require_power
 
 __all__ = [
@@ -263,14 +263,15 @@ def mix_at_snr(click: SampleBuffer, noise: SampleBuffer, cfg: SimConfig) -> tupl
         if i0 < 0 or i0 + n_click > len(noise):
             raise ValueError(f"click at {t} s overruns the {noise.duration_s:.3f} s noise buffer")
 
-    out = noise.samples.astype(np.float64)  # a copy, so float32 noise is mixed in float64
+    out = _as_float64(noise, copy=True)  # the mix is made in float64
     if times:
         noise_ref = float(_burst_track(noise).mean())
         if noise_ref <= 0.0:
             raise ValueError("noise has no measurable burst-band power to reference the SNR to")
         click_peak = float(_burst_track(click).max())
         gain = math.sqrt(10.0 ** (cfg.target_snr_db / 10.0) * noise_ref / click_peak)
-        scaled = np.multiply(click.samples, gain, dtype=np.float64)
+        scaled = _as_float64(click, copy=True)
+        scaled *= gain
         for i0 in starts:
             out[i0 : i0 + n_click] += scaled
         np.clip(out, -1.0, 1.0, out=out)  # leaves in-range samples as they are
@@ -285,7 +286,7 @@ def apply_shroud(buffer: SampleBuffer, depth_m: float) -> SampleBuffer:
     clamped.
     """
     # numpy transforms float32 in float32; widened, the output keeps float64 bits.
-    x = np.asarray(buffer.samples, dtype=np.float64)
+    x = _as_float64(buffer)
     f = np.fft.rfftfreq(x.size, 1.0 / buffer.sample_rate_hz)
     gain = 10.0 ** (-_off_axis_attenuation_db(f, depth_m) / 20.0)
     y = np.fft.irfft(np.fft.rfft(x) * gain, x.size)

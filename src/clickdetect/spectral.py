@@ -19,7 +19,7 @@ from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .audio_io import SampleBuffer
+from .audio_io import SampleBuffer, _as_float64, _scale
 
 __all__ = [
     "Band",
@@ -150,8 +150,11 @@ class _PowerJob:
         start, stop = spec._frame_range(start, stop)
         window_len, hop = spec.window_len, spec.hop
         self.fn, self.start = fn, start
-        self.frames = np.lib.stride_tricks.sliding_window_view(spec.buffer.samples, window_len)[start * hop : stop * hop : hop]
-        self.window = _hann(window_len)
+        array = spec.buffer._array
+        self.frames = np.lib.stride_tricks.sliding_window_view(array, window_len)[start * hop : stop * hop : hop]
+        # The scale is a power of two, so folding it into the window keeps
+        # the windowed values' bits: (c * scale) * w == c * (w * scale).
+        self.window = _hann(window_len) * _scale(array)
         self.full_height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), spec.n_frames)
         self.height = min(self.full_height, stop - start)
         self.n_blocks = -(-(stop - start) // self.height)
@@ -174,14 +177,20 @@ class _PowerJob:
         window_len = len(self.window)
         shape = (self.full_height, window_len)
         if shape not in buffers:
-            buffers[shape] = np.empty(shape), np.empty((self.full_height, window_len // 2 + 1))
-        windowed, power = buffers[shape]
+            n_bins = window_len // 2 + 1
+            buffers[shape] = (
+                np.empty(shape),
+                np.empty((self.full_height, n_bins), complex),
+                np.empty((self.full_height, n_bins)),
+            )
+        windowed, spectrum, power = buffers[shape]
         offset = block * self.height
         rows = self.frames[offset : offset + self.height]
-        block_windowed = windowed[: len(rows)]
-        np.copyto(block_windowed, rows)  # widens float32 samples exactly
+        n = len(rows)
+        block_windowed = windowed[:n]
+        np.copyto(block_windowed, rows)  # widens float32 samples and int16 codes exactly
         block_windowed *= self.window
-        power = _onesided_power(block_windowed, out=power[: len(rows)], halved=self.halved)
+        power = _onesided_power(block_windowed, out=power[:n], halved=self.halved, spectrum=spectrum[:n])
         self.results[block] = self.fn(self.start + offset, power)
 
 
@@ -322,13 +331,16 @@ def _hann(window_len: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / window_len)
 
 
-def _onesided_power(frames: np.ndarray, out: np.ndarray | None = None, halved: bool = False) -> np.ndarray:
+def _onesided_power(
+    frames: np.ndarray, out: np.ndarray | None = None, halved: bool = False, spectrum: np.ndarray | None = None
+) -> np.ndarray:
     """One-sided |DFT|^2 of each row of ``frames``, interior bins doubled so
     the row satisfies Parseval; with ``halved``, half of that, which spares
     doubling the interior bins. Halving DC and Nyquist is exact, bar a
     subnormal power, so a sum of halved bins, doubled, has the bits of the
-    sum of the doubled ones."""
-    spectrum = np.fft.rfft(frames, axis=-1)
+    sum of the doubled ones. ``spectrum``, when given, receives the complex
+    DFT, which is otherwise a new array."""
+    spectrum = np.fft.rfft(frames, axis=-1, out=spectrum)
     power = np.abs(spectrum, out=out)
     np.square(power, out=power)
     even = frames.shape[-1] % 2 == 0
@@ -422,7 +434,7 @@ def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile
     if not kept:
         raise ValueError("every band lies above Nyquist")
     # numpy transforms float32 in float32; widened, the periodogram keeps float64 bits.
-    x = np.asarray(buffer.samples, dtype=np.float64)
+    x = _as_float64(buffer)
     n = x.size
     periodogram = _onesided_power(x[np.newaxis, :])[0] / (n * n)  # sums to mean(x^2)
     freqs = np.arange(periodogram.size) * (buffer.sample_rate_hz / n)
