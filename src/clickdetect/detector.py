@@ -167,9 +167,9 @@ class DetectionEvent:
 #: Frames whose gates one sorted window settles at once (``_BackgroundPass``).
 _BLOCK = 64
 #: Frames whose gated band powers are computed and fed to the background pass
-#: at once: 43.7 s at 48 kHz, and 64 of ``_PowerJob``'s blocks at window_len
+#: at once: 21.8 s at 48 kHz, and 32 of ``_PowerJob``'s blocks at window_len
 #: 1024, a whole number of them at every window_len.
-_CHUNK_FRAMES = 8192
+_CHUNK_FRAMES = 4096
 
 
 def _burst_total(power: np.ndarray, n_burst: int) -> np.ndarray:
@@ -223,13 +223,15 @@ class _BackgroundPass:
 
     Between chunks the pass holds only the last ``win`` rows and their clean
     flags, and the row an empty window falls back on when none of them is
-    clean: that of an older clean frame, or frame 0's. For the whole
-    recording it fills ``burst`` and ``tail``, the two gates' masks, and
-    ``burst_total``, each frame's summed burst-band power: 10 bytes a frame.
-    ``references`` maps the first frame of each burst run that may pass the
-    duration gate to the burst gate's reference there, taken while the pass
-    still holds the run's window. The flags and references do not depend on
-    how the frames are cut into chunks.
+    clean: that of an older clean frame, or frame 0's. Each frame's summed
+    burst-band power is kept only while its chunk is settled. For the whole
+    recording the pass fills ``burst`` and ``tail``, the two gates' masks: 2
+    bytes a frame. ``references`` maps the first frame of each burst run that
+    may pass the duration gate to the burst gate's reference there, taken
+    while the pass still holds the run's window, and ``peaks`` maps it to the
+    run's largest summed burst-band power, carried across chunks while the
+    run is open. The flags, references and peaks do not depend on how the
+    frames are cut into chunks.
     """
 
     def __init__(self, n_frames: int, n_burst: int, detector: ClickDetector, win: int, rate: int) -> None:
@@ -239,13 +241,17 @@ class _BackgroundPass:
         self.floor = 10.0 ** (detector.silence_floor_db / 10.0)
         self.burst = np.zeros(n_frames, dtype=bool)
         self.tail = np.zeros(n_frames, dtype=bool)
-        self.burst_total = np.zeros(n_frames)
         self.references: dict[int, float] = {}
+        self.peaks: dict[int, float] = {}
         self.fed = 0
         # The held rows and their clean flags: frames [fed - len(rows), fed).
         self._rows: np.ndarray | None = None
         self._clean = np.zeros(0, dtype=bool)
         self._carry: np.ndarray | None = None
+        # The summed burst-band powers of the chunk being settled, and the
+        # first frame of the burst run open at the last frame fed, if any.
+        self._totals: np.ndarray | None = None
+        self._open_run: int | None = None
 
     def feed(self, power: np.ndarray) -> None:
         """Settle the next ``len(power)`` frames, whose gated band powers are ``power``."""
@@ -255,11 +261,12 @@ class _BackgroundPass:
         self._rows = np.concatenate((self._rows, power))
         self._clean = np.concatenate((self._clean, np.zeros(len(power), dtype=bool)))
         self.fed = t + len(power)
-        self.burst_total[t : self.fed] = _burst_total(power, self.n_burst)
+        self._totals = _burst_total(power, self.n_burst)
         t0 = t
         while t0 < self.fed:
             t0 += self._settle_block(t0)
         self._take_references(t)
+        self._totals = None
         latest = np.flatnonzero(self._clean)
         if latest.size:
             self._carry = self._rows[latest[-1]].copy()
@@ -278,8 +285,9 @@ class _BackgroundPass:
     def _gate(self, t0: int, med: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The burst and tail verdicts of frames t0, t0 + 1, ... against one
         row of gated-band medians each."""
-        frames = slice(t0, t0 + len(med))
-        burst = self.burst_total[frames] >= self.onset_ratio * _burst_reference(med, self.n_burst, self.detector)
+        chunk_first = self.fed - len(self._totals)
+        totals = self._totals[t0 - chunk_first : t0 - chunk_first + len(med)]
+        burst = totals >= self.onset_ratio * _burst_reference(med, self.n_burst, self.detector)
         first = self.fed - len(self._rows)
         power = self._rows[t0 - first : t0 - first + len(med), self.n_burst :]
         tail = (power >= self.tail_ratio * np.maximum(med[:, self.n_burst :], self.floor)).any(axis=1)
@@ -318,18 +326,28 @@ class _BackgroundPass:
         return n
 
     def _take_references(self, t: int) -> None:
-        """Take the reference of each burst run that starts in frames [t, fed)
-        and may pass the duration gate. A run that reaches the last frame fed
-        may yet grow, so only its upper bound rules it out."""
+        """Take the reference and peak of each burst run that starts in frames
+        [t, fed) and may pass the duration gate, and raise the peak of a run
+        that started in an earlier chunk to its frames here. A run that
+        reaches the last frame fed may yet grow, so only its upper bound
+        rules it out."""
         detector, n_frames = self.detector, len(self.burst)
+        run = None
         for start, stop in _mask_runs(self.burst[t : self.fed]):
-            if start == 0 and t and self.burst[t - 1]:
-                continue  # it started in an earlier chunk
+            peak = float(self._totals[start:stop].max())
+            if start == 0 and t and self.burst[t - 1]:  # it started in an earlier chunk
+                run = self._open_run
+                if run in self.peaks:
+                    self.peaks[run] = max(self.peaks[run], peak)
+                continue
+            run = t + start
             duration = _run_duration_s(stop - start, detector, self.rate)
             growing = t + stop == self.fed < n_frames
             if duration <= detector.burst_max_s and (growing or duration >= detector.burst_min_s):
-                med = self._background(t + start)[2]
-                self.references[t + start] = float(_burst_reference(med, self.n_burst, detector))
+                med = self._background(run)[2]
+                self.references[run] = float(_burst_reference(med, self.n_burst, detector))
+                self.peaks[run] = peak
+        self._open_run = run if self.burst[self.fed - 1] else None
 
 
 @contextmanager
@@ -379,7 +397,10 @@ def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> Iterator
 
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
+    # Kept as bools, 2 bytes a frame of the recording: np.diff of a padded
+    # integer mask would allocate int64 arrays, 16 bytes a frame.
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
     return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
@@ -433,7 +454,7 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
         tail_ok = detector.tail_min_s <= tail_dur <= detector.tail_max_s
 
         reference = background.references[start]
-        excess = float(background.burst_total[start:stop].max()) - reference
+        excess = background.peaks[start] - reference
         peak_snr = 10.0 * math.log10(excess / reference) if excess > 0.0 else -math.inf
         score = 0.5 * min(1.0, max(0.0, peak_snr / 20.0)) + 0.5 * min(1.0, tail_dur / 0.3)
         label: Label = "connection_click" if tail_ok else "other_transient"

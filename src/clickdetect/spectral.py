@@ -77,8 +77,10 @@ class Spectrogram:
     frames at a time, on the calling thread and on a helper thread for each
     further CPU the process may use (``_PowerWorkers``). ``spectrogram_image``
     consumes it block by block; ``frame_band_powers`` sums half of it into
-    bands and doubles the sums, which keeps their bits. The power does not
-    depend on how many CPUs compute it.
+    bands and doubles the sums, which keeps their bits. Each worker holds
+    two buffers, the windowed samples and their spectrum, about 2.1 MB at
+    window_len 1024; a block's power overwrites its windowed samples. The
+    power does not depend on how many CPUs compute it.
     """
 
     buffer: SampleBuffer
@@ -119,7 +121,7 @@ class Spectrogram:
         """``fn(first, power)`` for every block of frames [start, stop), in
         block order (``_PowerJob``), on a ``_PowerWorkers`` pool that ends
         with the call."""
-        job = _PowerJob(self, fn, start, stop)
+        job = _PowerJob(self, _scaled_hann(self), fn, start, stop)
         with _PowerWorkers() as workers:
             return workers.run(job)
 
@@ -132,29 +134,30 @@ class _PowerJob:
     ``halved`` it holds half the power (``_onesided_power``). The blocks
     start at ``start`` (frame 0 by default) and the last ends at ``stop``
     (``n_frames`` by default). The windowed frames and their spectra never
-    exist for the whole range.
+    exist for the whole range. ``window`` is ``_scaled_hann(spec)``, which
+    the jobs of one spectrogram may share.
 
     Workers take the blocks one at a time, in order (``claim``). Each
-    computes a block in buffers of its own, which ``fn`` may overwrite and
-    which the worker's next block refills. So ``fn`` runs concurrently with
-    itself and must write only outputs of its own block. The power is
-    computed row by row, so it depends neither on the number of workers nor
-    on the frame range. ``key``, when not None, names the job for
-    ``_PowerWorkers.queued``.
+    computes a block in two buffers of its own: the windowed samples, and
+    their spectrum. ``rfft`` has consumed the windowed samples once the
+    spectrum is made, so the power overwrites them. ``fn`` may overwrite the
+    power, which the worker's next block refills. So ``fn`` runs
+    concurrently with itself and must write only outputs of its own block.
+    The power is computed row by row, so it depends neither on the number
+    of workers nor on the frame range. ``key``, when not None, names the job
+    for ``_PowerWorkers.queued``.
     """
 
     halved = False
     key: Hashable = None
 
-    def __init__(self, spec: Spectrogram, fn: Callable[[int, np.ndarray], object], start: int = 0, stop: int | None = None) -> None:
+    def __init__(
+        self, spec: Spectrogram, window: np.ndarray, fn: Callable[[int, np.ndarray], object], start: int = 0, stop: int | None = None
+    ) -> None:
         start, stop = spec._frame_range(start, stop)
         window_len, hop = spec.window_len, spec.hop
-        self.fn, self.start = fn, start
-        array = spec.buffer._array
-        self.frames = np.lib.stride_tricks.sliding_window_view(array, window_len)[start * hop : stop * hop : hop]
-        # The scale is a power of two, so folding it into the window keeps
-        # the windowed values' bits: (c * scale) * w == c * (w * scale).
-        self.window = _hann(window_len) * _scale(array)
+        self.fn, self.start, self.window = fn, start, window
+        self.frames = np.lib.stride_tricks.sliding_window_view(spec.buffer._array, window_len)[start * hop : stop * hop : hop]
         self.full_height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), spec.n_frames)
         self.height = min(self.full_height, stop - start)
         self.n_blocks = -(-(stop - start) // self.height)
@@ -175,22 +178,20 @@ class _PowerJob:
     def compute(self, block: int, buffers: dict) -> None:
         """Compute ``block`` in ``buffers``, the calling worker's, and hand it to ``fn``."""
         window_len = len(self.window)
+        n_bins = window_len // 2 + 1
         shape = (self.full_height, window_len)
         if shape not in buffers:
-            n_bins = window_len // 2 + 1
-            buffers[shape] = (
-                np.empty(shape),
-                np.empty((self.full_height, n_bins), complex),
-                np.empty((self.full_height, n_bins)),
-            )
-        windowed, spectrum, power = buffers[shape]
+            buffers[shape] = np.empty(shape), np.empty((self.full_height, n_bins), complex)
+        windowed, spectrum = buffers[shape]
         offset = block * self.height
         rows = self.frames[offset : offset + self.height]
         n = len(rows)
         block_windowed = windowed[:n]
         np.copyto(block_windowed, rows)  # widens float32 samples and int16 codes exactly
         block_windowed *= self.window
-        power = _onesided_power(block_windowed, out=power[:n], halved=self.halved, spectrum=spectrum[:n])
+        # The power's n rows of n_bins fill the front of the windowed buffer.
+        power = windowed.reshape(-1)[: n * n_bins].reshape(n, n_bins)
+        power = _onesided_power(block_windowed, out=power, halved=self.halved, spectrum=spectrum[:n])
         self.results[block] = self.fn(self.start + offset, power)
 
 
@@ -205,7 +206,9 @@ class _PowerWorkers:
     job queued, so a worker that starts late or stalls holds up no other. A
     helper with no block to take sleeps until a job is queued. The helper
     threads start as jobs need them, none for a job of one block, and end
-    with the ``with`` block. Each worker keeps its buffers for every job.
+    with the ``with`` block. Each worker keeps its buffers for every job,
+    and ``band_sums`` keeps what the band-power jobs of one spectrogram and
+    bands share (``_BandSums``), so each is made once per pool.
     """
 
     def __init__(self) -> None:
@@ -216,6 +219,7 @@ class _PowerWorkers:
         self._block_done = threading.Condition(self._lock)
         self._jobs: deque[_PowerJob] = deque()  # oldest first
         self._buffers: dict = {}  # the calling thread's
+        self.band_sums: dict[Hashable, _BandSums] = {}  # by ``_BandSums.key``
         self._closed = False
 
     def __enter__(self) -> _PowerWorkers:
@@ -331,6 +335,13 @@ def _hann(window_len: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / window_len)
 
 
+def _scaled_hann(spec: Spectrogram) -> np.ndarray:
+    """``spec``'s window times the scale of its buffer's array. The scale is
+    a power of two, so folding it into the window keeps the windowed values'
+    bits: (c * scale) * w == c * (w * scale)."""
+    return _hann(spec.window_len) * _scale(spec.buffer._array)
+
+
 def _onesided_power(
     frames: np.ndarray, out: np.ndarray | None = None, halved: bool = False, spectrum: np.ndarray | None = None
 ) -> np.ndarray:
@@ -443,6 +454,21 @@ def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile
     return BandPowerProfile(tuple(kept), 10.0 * np.log10(np.maximum(totals, _DB_FLOOR_POWER)))
 
 
+class _BandSums:
+    """What every ``_BandPowerJob`` of a spectrogram and bands shares: the
+    scaled window (``_scaled_hann``), the band summer (``_band_summer``) and
+    half the norm, N * sum(hann^2) / 2. They depend only on ``key``'s values."""
+
+    def __init__(self, spec: Spectrogram, bands: tuple[Band, ...]) -> None:
+        self.window = _scaled_hann(spec)
+        self.sum_into = _band_summer(spec.bin_frequencies_hz, bands)
+        self.half_norm = 0.5 * (spec.window_len * float(np.sum(_hann(spec.window_len) ** 2)))
+
+    @staticmethod
+    def key(spec: Spectrogram, bands: tuple[Band, ...]) -> tuple:
+        return spec.window_len, spec.sample_rate_hz, _scale(spec.buffer._array), bands
+
+
 class _BandPowerJob(_PowerJob):
     """``frame_band_powers``' job: the band powers of frames [start, stop) of
     ``spec``, each block's rows summed into ``out`` by the worker that
@@ -450,18 +476,15 @@ class _BandPowerJob(_PowerJob):
 
     halved = True
 
-    def __init__(self, spec: Spectrogram, bands: tuple[Band, ...], start: int, stop: int) -> None:
-        window = _hann(spec.window_len)
-        norm = spec.window_len * float(np.sum(window**2))
-        sum_into = _band_summer(spec.bin_frequencies_hz, bands)
+    def __init__(self, spec: Spectrogram, bands: tuple[Band, ...], sums: _BandSums, start: int, stop: int) -> None:
         self.out = out = np.zeros((stop - start, len(bands)))
 
         def sum_block(first: int, half_power: np.ndarray) -> None:
             rows = out[first - start : first - start + len(half_power)]
-            sum_into(half_power, rows)
-            rows /= 0.5 * norm  # the band sums of the full power, over norm
+            sums.sum_into(half_power, rows)
+            rows /= sums.half_norm  # the band sums of the full power, over norm
 
-        super().__init__(spec, sum_block, start, stop)
+        super().__init__(spec, sums.window, sum_block, start, stop)
         self.key = _band_power_key(spec, bands, start, stop)
 
 
@@ -497,11 +520,15 @@ def frame_band_powers(
     start, stop = spec._frame_range(start, stop)
     bands = tuple(bands)
     if workers is None:
-        job = _BandPowerJob(spec, bands, start, stop)
+        job = _BandPowerJob(spec, bands, _BandSums(spec, bands), start, stop)
         with _PowerWorkers() as own:
             own.run(job)
         return job.out
-    job = workers.queued(_band_power_key(spec, bands, start, stop)) or _BandPowerJob(spec, bands, start, stop)
+    key = _BandSums.key(spec, bands)
+    if key not in workers.band_sums:
+        workers.band_sums[key] = _BandSums(spec, bands)
+    sums = workers.band_sums[key]
+    job = workers.queued(_band_power_key(spec, bands, start, stop)) or _BandPowerJob(spec, bands, sums, start, stop)
     workers.run(job)
     first = stop
     for _ in range(_RUN_AHEAD if workers.max_helpers else 0):
@@ -509,7 +536,7 @@ def frame_band_powers(
         if first == last:
             break
         if workers.queued(_band_power_key(spec, bands, first, last)) is None:
-            workers.queue(_BandPowerJob(spec, bands, first, last))
+            workers.queue(_BandPowerJob(spec, bands, sums, first, last))
         first = last
     return job.out
 

@@ -19,6 +19,7 @@ from clickdetect.detector import (
     _burst_reference,
     _burst_total,
     _clean_window,
+    _gated_band_power,
     _median,
 )
 from clickdetect.evaluation import match_detections
@@ -667,6 +668,58 @@ class TestChunkedDetection:
         # The click in the stretch is found, against the carried background.
         assert any(abs(e.onset_s - starts[-1] * hop / rate) < 0.05 for e in want)
 
+    def test_a_runs_peak_is_carried_across_chunks(self, monkeypatch):
+        # A kept burst run whose loudest frame lies in a middle chunk: neither
+        # the chunk where the run starts nor the one where it ends holds it.
+        cfg = SimConfig(sample_rate_hz=RATE, seed=0, duration_s=6.0, transient_rate_hz=0.0,
+                        click_times_s=(3.0,), target_snr_db=18.0)
+        mix, _ = mix_at_snr(synth_click(RATE, 0), factory_noise(cfg), cfg)
+        detector = ClickDetector()
+        hop, window_len = detector.hop, detector.window_len
+        want = detector.predict(mix)
+        [event] = want
+        with _gated_band_power(mix, detector) as (_, n_burst, chunks):
+            totals = np.concatenate([_burst_total(power, n_burst) for power in chunks])
+        first = round((event.onset_s * RATE - window_len + hop) / hop)
+        stop = first + round((event.burst_duration_s * RATE - hop + window_len) / hop)
+        peak = totals[first:stop].max()
+        loudest = first + int(np.argmax(totals[first:stop]))
+        sizes = []
+        for chunk in range(1, stop - first):
+            lo, hi = loudest // chunk * chunk, (loudest // chunk + 1) * chunk  # the loudest frame's chunk
+            if first < lo and hi < stop:
+                assert totals[first:lo].max() < peak > totals[hi:stop].max()
+                monkeypatch.setattr(detector_module, "_CHUNK_FRAMES", chunk)
+                assert detector.predict(mix) == want, f"chunks of {chunk} frames"
+                sizes.append(chunk)
+        assert len(sizes) >= 2, sizes
+
+    def test_band_sums_are_set_up_once_per_recording(self, monkeypatch):
+        # The window, the norm and the band summer's bin indices are made once
+        # per recording: more chunks add no set-up work.
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(spectral, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(spectral, name, count)
+
+        counted("_hann")
+        counted("_band_summer")
+        noise = SampleBuffer(0.05 * np.random.default_rng(6).standard_normal(20 * RATE), RATE)
+        made = []
+        for chunk in (1024, 512):
+            monkeypatch.setattr(detector_module, "_CHUNK_FRAMES", chunk)
+            calls.clear()
+            ClickDetector().predict(noise)
+            made.append(dict(calls))
+        assert made[0] == made[1] and made[0]["_band_summer"] == 1, made
+
     def predict_on_two_cpus(self, monkeypatch, buffer):
         """``predict(buffer)`` with a band-power helper and 1,024-frame chunks,
         on a thread joined with a timeout: what it raised, or None."""
@@ -757,7 +810,7 @@ class TestChunkedDetection:
         assert max(ahead) > 0, ahead
 
     def test_memory_does_not_grow_with_the_recording(self):
-        # The pass keeps 10 bytes a frame, 0.23 MB per 120 s at 48 kHz; the
+        # The pass keeps 2 bytes a frame, 0.05 MB per 120 s at 48 kHz; the
         # whole matrix of gated band powers took 112 bytes a frame more.
         noise = 0.05 * np.random.default_rng(12).standard_normal(240 * RATE, dtype=np.float32)
         peaks = []
@@ -770,6 +823,27 @@ class TestChunkedDetection:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 1e6, peaks
+
+    def test_memory_grows_by_at_most_a_few_bytes_a_frame(self):
+        # The pass keeps the burst and tail masks, 2 bytes a frame, and a
+        # reference and peak per burst run; each frame's summed burst-band
+        # power, 8 bytes more, lives only while its chunk is settled.
+        noise = np.random.default_rng(13).standard_normal(480 * RATE, dtype=np.float32)
+        noise *= 0.05
+        # Warmed up first: numpy's one-time set-up would count in the first
+        # peak only, about 0.13 MB, and hide 2 bytes a frame.
+        ClickDetector().predict(SampleBuffer(noise[: 2 * RATE], RATE))
+        peaks, frames = [], []
+        for seconds in (120, 480):
+            buf = SampleBuffer(noise[: seconds * RATE], RATE)
+            frames.append(stft(buf, ClickDetector().window_len, ClickDetector().hop).n_frames)
+            tracemalloc.start()
+            try:
+                ClickDetector().predict(buf)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (frames[1] - frames[0]) < 4.0, (peaks, frames)
 
 
 class TestDetectionEvent:
