@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from typing import Iterator, Literal, Sequence
 
@@ -31,7 +32,7 @@ from .audio_io import SampleBuffer
 from .spectral import (
     _bands_within_nyquist,
     _check_framing,
-    _PowerWorkers,
+    _power_pool,
     frame_band_powers,
     stft,
     third_octave_bands,
@@ -351,7 +352,9 @@ class _BackgroundPass:
 
 
 @contextmanager
-def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> Iterator[tuple[int, int, Iterator[np.ndarray]]]:
+def _gated_band_power(
+    buffer: SampleBuffer, detector: ClickDetector, pool: ThreadPoolExecutor | None = None
+) -> Iterator[tuple[int, int, Iterator[np.ndarray]]]:
     """Per-frame power of the gated bands only, ``_CHUNK_FRAMES`` frames at a
     time: the burst bands, then the tail's.
 
@@ -361,9 +364,8 @@ def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> Iterator
     reaching below it. Entering gives the frame count, the number of burst
     columns, and an iterator over the chunks of rows in frame order. Each
     chunk is asked of ``frame_band_powers`` on the thread that takes it from
-    the iterator, with one pool of band-power workers for the recording. The
-    pool's helpers compute the next chunk while the caller uses this one,
-    and end with the block. Entering raises, in this order, for a buffer
+    the iterator, on ``pool``, else on a ``_power_pool`` that ends with the
+    block. Entering raises, in this order, for a buffer
     shorter than a window, a hop coarser than ``burst_min_s``, a tail band
     above Nyquist, or no burst or tail band.
     """
@@ -389,9 +391,9 @@ def _gated_band_power(buffer: SampleBuffer, detector: ClickDetector) -> Iterator
         raise ValueError(f"no band centered inside tail_band_hz={detector.tail_band_hz}")
     gated = [bands[i] for i in burst_cols + tail_cols]
     n_frames = spec.n_frames
-    with _PowerWorkers() as workers:
+    with _power_pool() if pool is None else nullcontext(pool) as pool:
         yield n_frames, len(burst_cols), (
-            frame_band_powers(spec, gated, start, min(start + _CHUNK_FRAMES, n_frames), workers=workers)
+            frame_band_powers(spec, gated, start, min(start + _CHUNK_FRAMES, n_frames), pool=pool)
             for start in range(0, n_frames, _CHUNK_FRAMES)
         )
 
@@ -430,15 +432,22 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
     the higher score (ties keep the earlier onset).
     """
     hop, rate = detector.hop, buffer.sample_rate_hz
-    with _gated_band_power(buffer, detector) as (n_frames, n_burst, chunks):
+    with _power_pool() as pool, _gated_band_power(buffer, detector, pool) as (n_frames, n_burst, chunks):
         # A window as long as the recording already holds every earlier frame,
         # so capping there changes nothing and keeps a huge window's count finite.
         win = max(2, round(min(detector.background_window_s / (hop / rate), n_frames)))
         # The pass runs only over the gated bands, and the band powers of one
-        # chunk at a time: it is the costliest stage after them.
+        # chunk at a time: it is the costliest stage after them. A helper
+        # feeds it chunk k while this thread computes chunk k + 1, and takes
+        # blocks of it once the pass is done; chunk k + 2 waits for that
+        # pass, so the band powers run at most one chunk ahead.
         background = _BackgroundPass(n_frames, n_burst, detector, win, rate)
+        fed = None
         for power in chunks:
-            background.feed(power)
+            if fed is not None:
+                fed.result()
+            fed = pool.submit(background.feed, power)
+        fed.result()
     burst_mask, tail_mask = background.burst, background.tail
 
     events: list[DetectionEvent] = []

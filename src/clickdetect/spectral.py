@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -35,10 +36,6 @@ __all__ = [
 _DB_FLOOR_POWER = 1e-30  # -300 dB, stands in for log(0)
 #: Windowed samples per FFT block (1 MiB of float64): 128 frames at window_len 1024.
 _STFT_BLOCK_SAMPLES = 131072
-#: Ranges of band powers that a pool's helpers compute ahead of the caller
-#: (``frame_band_powers``). One keeps a helper busy while the caller uses
-#: the range it was given, whenever that takes less time than computing it.
-_RUN_AHEAD = 1
 
 _T = TypeVar("_T")
 
@@ -74,13 +71,13 @@ class Spectrogram:
     The power of frame k is one-sided |DFT|^2 of the Hann-windowed samples
     [k*hop, k*hop + window_len), interior bins doubled so each frame satisfies
     Parseval. No power is stored: a ``_PowerJob`` computes it one block of
-    frames at a time, on the calling thread and on a helper thread for each
-    further CPU the process may use (``_PowerWorkers``). ``spectrogram_image``
-    consumes it block by block; ``frame_band_powers`` sums half of it into
-    bands and doubles the sums, which keeps their bits. Each worker holds
-    two buffers, the windowed samples and their spectrum, about 2.1 MB at
-    window_len 1024; a block's power overwrites its windowed samples. The
-    power does not depend on how many CPUs compute it.
+    frames at a time, on the calling thread and the helper threads of a
+    ``_power_pool``. ``spectrogram_image`` consumes it block by block;
+    ``frame_band_powers`` sums half of it into bands and doubles the sums,
+    which keeps their bits. Each worker holds two buffers, the windowed
+    samples and their spectrum, about 2.1 MB at window_len 1024; a block's
+    power overwrites its windowed samples. The power does not depend on how
+    many CPUs compute it.
     """
 
     buffer: SampleBuffer
@@ -117,13 +114,10 @@ class Spectrogram:
             raise ValueError(f"frame range [{start}, {stop}) is empty or outside [0, {self.n_frames})")
         return start, stop
 
-    def _map_power_blocks(self, fn: Callable[[int, np.ndarray], _T], start: int = 0, stop: int | None = None) -> list[_T]:
-        """``fn(first, power)`` for every block of frames [start, stop), in
-        block order (``_PowerJob``), on a ``_PowerWorkers`` pool that ends
-        with the call."""
-        job = _PowerJob(self, _scaled_hann(self), fn, start, stop)
-        with _PowerWorkers() as workers:
-            return workers.run(job)
+    def _map_power_blocks(self, fn: Callable[[int, np.ndarray], _T]) -> list[_T]:
+        """``fn(first, power)`` for every block of frames, in block order
+        (``_PowerJob``), on a pool made for the call."""
+        return _run(_PowerJob(self, fn))
 
 
 class _PowerJob:
@@ -134,55 +128,43 @@ class _PowerJob:
     ``halved`` it holds half the power (``_onesided_power``). The blocks
     start at ``start`` (frame 0 by default) and the last ends at ``stop``
     (``n_frames`` by default). The windowed frames and their spectra never
-    exist for the whole range. ``window`` is ``_scaled_hann(spec)``, which
-    the jobs of one spectrogram may share.
+    exist for the whole range.
 
-    Workers take the blocks one at a time, in order (``claim``). Each
-    computes a block in two buffers of its own: the windowed samples, and
-    their spectrum. ``rfft`` has consumed the windowed samples once the
-    spectrum is made, so the power overwrites them. ``fn`` may overwrite the
-    power, which the worker's next block refills. So ``fn`` runs
-    concurrently with itself and must write only outputs of its own block.
-    The power is computed row by row, so it depends neither on the number
-    of workers nor on the frame range. ``key``, when not None, names the job
-    for ``_PowerWorkers.queued``.
+    Each worker computes a block in two buffers of its own: the windowed
+    samples, and their spectrum. ``rfft`` has consumed the windowed samples
+    once the spectrum is made, so the power overwrites them. ``fn`` may
+    overwrite the power, which the worker's next block refills. So ``fn``
+    runs concurrently with itself and must write only outputs of its own
+    block. The power is computed row by row, so it depends neither on the
+    number of workers nor on the frame range.
     """
 
-    halved = False
-    key: Hashable = None
-
     def __init__(
-        self, spec: Spectrogram, window: np.ndarray, fn: Callable[[int, np.ndarray], object], start: int = 0, stop: int | None = None
+        self,
+        spec: Spectrogram,
+        fn: Callable[[int, np.ndarray], object],
+        start: int = 0,
+        stop: int | None = None,
+        halved: bool = False,
     ) -> None:
         start, stop = spec._frame_range(start, stop)
         window_len, hop = spec.window_len, spec.hop
-        self.fn, self.start, self.window = fn, start, window
+        self.fn, self.start, self.halved, self.window = fn, start, halved, _scaled_hann(spec)
         self.frames = np.lib.stride_tricks.sliding_window_view(spec.buffer._array, window_len)[start * hop : stop * hop : hop]
         self.full_height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), spec.n_frames)
         self.height = min(self.full_height, stop - start)
         self.n_blocks = -(-(stop - start) // self.height)
         self.results: list = [None] * self.n_blocks
-        self.claimed = 0  # blocks handed out: the first ``claimed``
-        self.running = 0  # blocks handed out and not yet computed
-        self.error: BaseException | None = None
 
-    def claim(self) -> int | None:
-        """The next block for a worker, or None once all are taken or one
-        failed. The caller holds the pool's lock."""
-        if self.claimed == self.n_blocks or self.error is not None:
-            return None
-        self.claimed += 1
-        self.running += 1
-        return self.claimed - 1
-
-    def compute(self, block: int, buffers: dict) -> None:
-        """Compute ``block`` in ``buffers``, the calling worker's, and hand it to ``fn``."""
+    def compute(self, block: int, buffers: threading.local) -> None:
+        """Compute ``block`` in the calling thread's ``buffers`` and hand it to ``fn``."""
         window_len = len(self.window)
         n_bins = window_len // 2 + 1
         shape = (self.full_height, window_len)
-        if shape not in buffers:
-            buffers[shape] = np.empty(shape), np.empty((self.full_height, n_bins), complex)
-        windowed, spectrum = buffers[shape]
+        mine = vars(buffers)
+        if shape not in mine:
+            mine[shape] = np.empty(shape), np.empty((self.full_height, n_bins), complex)
+        windowed, spectrum = mine[shape]
         offset = block * self.height
         rows = self.frames[offset : offset + self.height]
         n = len(rows)
@@ -195,123 +177,38 @@ class _PowerJob:
         self.results[block] = self.fn(self.start + offset, power)
 
 
-class _PowerWorkers:
-    """The calling thread and up to ``_usable_cpus() - 1`` helper threads,
-    computing the blocks of ``_PowerJob``s; a context manager.
+@contextmanager
+def _power_pool() -> Iterator[ThreadPoolExecutor]:
+    """A pool of ``_usable_cpus() - 1`` helper threads, at least one, for
+    ``_run``; with the thread that runs a job, one thread per CPU. Each
+    thread keeps its buffers (``_PowerJob.compute``) in ``pool.buffers``, so
+    they are freed with the pool. Leaving the block cancels what no helper
+    has begun and waits for the rest."""
+    pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="band-power helper")
+    pool.buffers = threading.local()
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    Only the thread that made the pool may use it. ``run`` computes a job on
-    that thread and on the helpers. ``queue`` lets the helpers start a job
-    before ``run`` asks for it, so they keep busy while the caller does other
-    work. A worker takes the first block no worker has taken, of the oldest
-    job queued, so a worker that starts late or stalls holds up no other. A
-    helper with no block to take sleeps until a job is queued. The helper
-    threads start as jobs need them, none for a job of one block, and end
-    with the ``with`` block. Each worker keeps its buffers for every job,
-    and ``band_sums`` keeps what the band-power jobs of one spectrogram and
-    bands share (``_BandSums``), so each is made once per pool.
-    """
 
-    def __init__(self) -> None:
-        self.max_helpers = _usable_cpus() - 1
-        self._helpers: list[threading.Thread] = []
-        self._lock = threading.Lock()
-        self._work_queued = threading.Condition(self._lock)
-        self._block_done = threading.Condition(self._lock)
-        self._jobs: deque[_PowerJob] = deque()  # oldest first
-        self._buffers: dict = {}  # the calling thread's
-        self.band_sums: dict[Hashable, _BandSums] = {}  # by ``_BandSums.key``
-        self._closed = False
-
-    def __enter__(self) -> _PowerWorkers:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            self._closed = True
-            self._work_queued.notify_all()
-        for helper in self._helpers:
-            helper.join()
-
-    def queued(self, key: Hashable) -> _PowerJob | None:
-        """The queued job named ``key``, if any."""
-        with self._lock:
-            return next((job for job in self._jobs if job.key == key), None)
-
-    def queue(self, job: _PowerJob) -> None:
-        """Let the helpers compute ``job`` once they have taken every block
-        of the jobs queued before it."""
-        with self._lock:
-            self._jobs.append(job)
-            self._start_helpers(job.n_blocks)
-
-    def run(self, job: _PowerJob) -> list:
-        """Compute ``job`` on this thread and the helpers, and return its
-        blocks' results in block order. An error raised on any worker is
-        raised here, once no worker computes a block of ``job``.
-
-        The jobs queued before ``job`` are dropped, and those after it stay.
-        """
-        with self._lock:
-            while self._jobs and self._jobs[0] is not job:
-                self._jobs.popleft()
-            if not self._jobs:
-                self._jobs.append(job)
-            self._start_helpers(job.n_blocks - 1)
-        while True:
-            with self._lock:
-                block = job.claim()
-                if block is None:
-                    self._block_done.wait_for(lambda: not job.running)
-                    self._jobs.popleft()
-                    break
-            self._compute(job, block, self._buffers)
-        if job.error is not None:
-            raise job.error
-        return job.results
-
-    def _start_helpers(self, count: int) -> None:
-        """Wake the helpers, starting more up to ``count``. The caller holds the lock."""
-        while len(self._helpers) < min(self.max_helpers, count):
-            helper = threading.Thread(target=self._help, name="band-power helper", daemon=True)
-            helper.start()
-            self._helpers.append(helper)
-        self._work_queued.notify_all()
-
-    def _help(self) -> None:
-        buffers: dict = {}
-        while True:
-            with self._lock:
-                while True:
-                    if self._closed:
-                        return
-                    job, block = self._claim_queued()
-                    if job is not None:
-                        break
-                    self._work_queued.wait()
-            self._compute(job, block, buffers)
-
-    def _claim_queued(self) -> tuple[_PowerJob, int] | tuple[None, None]:
-        """A block claimed from the oldest queued job that has one left, and
-        its job, or two Nones. The caller holds the lock."""
-        for job in self._jobs:
-            block = job.claim()
-            if block is not None:
-                return job, block
-        return None, None
-
-    def _compute(self, job: _PowerJob, block: int, buffers: dict) -> None:
-        """Compute ``block`` of ``job`` and mark it done, keeping the first
-        error any block of ``job`` raised for ``run`` to raise."""
-        try:
-            job.compute(block, buffers)
-            error = None
-        except BaseException as exc:  # raised again by ``run``, on the calling thread
-            error = exc
-        with self._lock:
-            job.running -= 1
-            if job.error is None:
-                job.error = error
-            self._block_done.notify()
+def _run(job: _PowerJob, pool: ThreadPoolExecutor | None = None) -> list:
+    """Compute ``job``'s blocks on the calling thread and ``pool``'s helpers
+    (a pool made for the call if None), and return their results in block
+    order. The calling thread takes every block no helper has begun, so it
+    never waits while a block is left; an error raised on a helper is
+    raised here."""
+    if pool is None:
+        with _power_pool() as pool:
+            return _run(job, pool)
+    futures = [pool.submit(job.compute, block, pool.buffers) for block in range(job.n_blocks)]
+    for block, future in enumerate(futures):
+        if future.cancel():
+            job.compute(block, pool.buffers)
+    for future in futures:
+        if not future.cancelled():
+            future.result()
+    return job.results
 
 
 @dataclass(frozen=True)
@@ -454,52 +351,13 @@ def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile
     return BandPowerProfile(tuple(kept), 10.0 * np.log10(np.maximum(totals, _DB_FLOOR_POWER)))
 
 
-class _BandSums:
-    """What every ``_BandPowerJob`` of a spectrogram and bands shares: the
-    scaled window (``_scaled_hann``), the band summer (``_band_summer``) and
-    half the norm, N * sum(hann^2) / 2. They depend only on ``key``'s values."""
-
-    def __init__(self, spec: Spectrogram, bands: tuple[Band, ...]) -> None:
-        self.window = _scaled_hann(spec)
-        self.sum_into = _band_summer(spec.bin_frequencies_hz, bands)
-        self.half_norm = 0.5 * (spec.window_len * float(np.sum(_hann(spec.window_len) ** 2)))
-
-    @staticmethod
-    def key(spec: Spectrogram, bands: tuple[Band, ...]) -> tuple:
-        return spec.window_len, spec.sample_rate_hz, _scale(spec.buffer._array), bands
-
-
-class _BandPowerJob(_PowerJob):
-    """``frame_band_powers``' job: the band powers of frames [start, stop) of
-    ``spec``, each block's rows summed into ``out`` by the worker that
-    computed it. Named by ``_band_power_key``."""
-
-    halved = True
-
-    def __init__(self, spec: Spectrogram, bands: tuple[Band, ...], sums: _BandSums, start: int, stop: int) -> None:
-        self.out = out = np.zeros((stop - start, len(bands)))
-
-        def sum_block(first: int, half_power: np.ndarray) -> None:
-            rows = out[first - start : first - start + len(half_power)]
-            sums.sum_into(half_power, rows)
-            rows /= sums.half_norm  # the band sums of the full power, over norm
-
-        super().__init__(spec, sums.window, sum_block, start, stop)
-        self.key = _band_power_key(spec, bands, start, stop)
-
-
-def _band_power_key(spec: Spectrogram, bands: tuple[Band, ...], start: int, stop: int) -> tuple:
-    # A queued job holds its spectrogram, so no other can have its id.
-    return id(spec), bands, start, stop
-
-
 def frame_band_powers(
     spec: Spectrogram,
     bands: Sequence[Band],
     start: int = 0,
     stop: int | None = None,
     *,
-    workers: _PowerWorkers | None = None,
+    pool: ThreadPoolExecutor | None = None,
 ) -> np.ndarray:
     """Per-frame band powers [stop - start x n_bands] in mean-square units.
 
@@ -509,36 +367,21 @@ def frame_band_powers(
     summing to ~s^2, directly comparable with ``band_powers``. Each band is
     summed over its own bins alone, so its column does not depend on which
     other bands are asked for, nor on the block layout or the frame range.
-
-    The blocks are computed on ``workers``, else on a pool made for the
-    call. A pool that is passed in lends its helpers for longer: after the
-    call they compute the ``_RUN_AHEAD`` ranges of the same length that
-    follow, [stop, 2 * stop - start) and so on, cut at ``n_frames``. So a
-    caller that asks for consecutive ranges finds each one begun, or done;
-    one that asks for another range drops that work.
+    The blocks are computed on the calling thread and the helpers of
+    ``pool`` (``_power_pool``), else of a pool made for the call.
     """
     start, stop = spec._frame_range(start, stop)
-    bands = tuple(bands)
-    if workers is None:
-        job = _BandPowerJob(spec, bands, _BandSums(spec, bands), start, stop)
-        with _PowerWorkers() as own:
-            own.run(job)
-        return job.out
-    key = _BandSums.key(spec, bands)
-    if key not in workers.band_sums:
-        workers.band_sums[key] = _BandSums(spec, bands)
-    sums = workers.band_sums[key]
-    job = workers.queued(_band_power_key(spec, bands, start, stop)) or _BandPowerJob(spec, bands, sums, start, stop)
-    workers.run(job)
-    first = stop
-    for _ in range(_RUN_AHEAD if workers.max_helpers else 0):
-        last = min(first + stop - start, spec.n_frames)
-        if first == last:
-            break
-        if workers.queued(_band_power_key(spec, bands, first, last)) is None:
-            workers.queue(_BandPowerJob(spec, bands, sums, first, last))
-        first = last
-    return job.out
+    sum_into = _band_summer(spec.bin_frequencies_hz, bands)
+    half_norm = 0.5 * (spec.window_len * float(np.sum(_hann(spec.window_len) ** 2)))
+    out = np.zeros((stop - start, len(bands)))
+
+    def sum_block(first: int, half_power: np.ndarray) -> None:
+        rows = out[first - start : first - start + len(half_power)]
+        sum_into(half_power, rows)
+        rows /= half_norm  # the band sums of the full power, over norm
+
+    _run(_PowerJob(spec, sum_block, start, stop, halved=True), pool)
+    return out
 
 
 def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80.0) -> None:

@@ -694,32 +694,6 @@ class TestChunkedDetection:
                 sizes.append(chunk)
         assert len(sizes) >= 2, sizes
 
-    def test_band_sums_are_set_up_once_per_recording(self, monkeypatch):
-        # The window, the norm and the band summer's bin indices are made once
-        # per recording: more chunks add no set-up work.
-        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
-        calls = Counter()
-
-        def counted(name):
-            fn = getattr(spectral, name)
-
-            def count(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(spectral, name, count)
-
-        counted("_hann")
-        counted("_band_summer")
-        noise = SampleBuffer(0.05 * np.random.default_rng(6).standard_normal(20 * RATE), RATE)
-        made = []
-        for chunk in (1024, 512):
-            monkeypatch.setattr(detector_module, "_CHUNK_FRAMES", chunk)
-            calls.clear()
-            ClickDetector().predict(noise)
-            made.append(dict(calls))
-        assert made[0] == made[1] and made[0]["_band_summer"] == 1, made
-
     def predict_on_two_cpus(self, monkeypatch, buffer):
         """``predict(buffer)`` with a band-power helper and 1,024-frame chunks,
         on a thread joined with a timeout: what it raised, or None."""
@@ -757,32 +731,41 @@ class TestChunkedDetection:
         assert isinstance(error, ArithmeticError) and str(error) == "second chunk"
 
     def test_no_thread_outlives_a_helpers_error(self, monkeypatch):
-        # The helper fails on a chunk it computes ahead, while the pass
-        # runs; the error reaches predict when the pass asks for that chunk.
+        # A pool thread fails on a block it computes once the pass has
+        # begun; the error reaches predict. The thread that called predict
+        # asks for each chunk and computes its blocks slowly, so the helper
+        # takes blocks once its pass is done.
         onesided_power, feed = spectral._onesided_power, _BackgroundPass.feed
+        chunk_powers = detector_module.frame_band_powers
         callers, fed, failed = set(), [], []
 
-        def note_the_caller(self, power):
+        def note_the_caller(*args, **kwargs):
             callers.add(threading.get_ident())
+            return chunk_powers(*args, **kwargs)
+
+        def note_the_pass(self, power):
             fed.append(len(power))
             feed(self, power)
 
         def fail_off_the_caller_once_fed(frames, *args, **kwargs):
-            if fed and threading.get_ident() not in callers:
+            if threading.get_ident() in callers:
+                time.sleep(0.005)
+            elif fed:
                 failed.append(len(fed))
                 raise ArithmeticError("helper block")
             return onesided_power(frames, *args, **kwargs)
 
-        monkeypatch.setattr(_BackgroundPass, "feed", note_the_caller)
+        monkeypatch.setattr(detector_module, "frame_band_powers", note_the_caller)
+        monkeypatch.setattr(_BackgroundPass, "feed", note_the_pass)
         monkeypatch.setattr(spectral, "_onesided_power", fail_off_the_caller_once_fed)
         noise = SampleBuffer(0.05 * np.random.default_rng(4).standard_normal(20 * RATE), RATE)
         error = self.predict_on_two_cpus(monkeypatch, noise)
         assert isinstance(error, ArithmeticError) and str(error) == "helper block"
-        assert failed  # raised on the helper thread, after the pass began
+        assert failed  # raised on a pool thread, after the pass began
 
     def test_run_ahead_stays_bounded(self, monkeypatch):
-        # A slow pass: the helper computes at most _RUN_AHEAD chunks beyond
-        # the one being fed, and it does run ahead.
+        # A slow pass: the band powers run at most one chunk beyond the one
+        # being fed, and they do run ahead.
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
         chunk = 1024
         monkeypatch.setattr(detector_module, "_CHUNK_FRAMES", chunk)
@@ -806,8 +789,22 @@ class TestChunkedDetection:
         noise = SampleBuffer(0.05 * np.random.default_rng(5).standard_normal(20 * RATE), RATE)
         ClickDetector().predict(noise)
         assert len(ahead) == 4
-        assert max(ahead) <= spectral._RUN_AHEAD * chunk, ahead
+        assert max(ahead) <= chunk, ahead
         assert max(ahead) > 0, ahead
+
+    def test_no_band_power_buffer_outlives_its_pool(self):
+        # Every band-power worker keeps two buffers, about 2.1 MB at
+        # window_len 1024. They go with the pool, also on the thread that
+        # called predict, which stays alive here.
+        noise = SampleBuffer(0.05 * np.random.default_rng(13).standard_normal(30 * RATE), RATE)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ClickDetector().predict(noise)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1e6, grown
 
     def test_memory_does_not_grow_with_the_recording(self):
         # The pass keeps 2 bytes a frame, 0.05 MB per 120 s at 48 kHz; the

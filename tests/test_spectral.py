@@ -300,10 +300,10 @@ class TestFrameBandPowers:
         assert np.array_equal(frame_band_powers(spec, bands, T - 3), whole[T - 3 :])
 
     def test_a_pool_gives_the_same_rows_in_any_order(self, rng, monkeypatch):
-        # Consecutive ranges are computed ahead of the caller, and another
-        # range drops that work: every range holds the whole matrix's rows.
-        # More workers than CPUs, switching often: a lost update to a job's
-        # claim counts would show as a wrong row or a hang.
+        # Consecutive and out-of-order ranges on one pool: every range holds
+        # the whole matrix's rows. More workers than CPUs, switching often: a
+        # block taken by two threads, or by none, would show as a wrong row
+        # or a hang.
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 4)
         spec = stft(SampleBuffer(0.1 * rng.standard_normal(1024 * 999 + 4096), RATE), 4096, 1024)
         assert spec.n_frames == 1000  # blocks of 32 frames
@@ -313,9 +313,9 @@ class TestFrameBandPowers:
         got = []
 
         def take_in_order():
-            with spectral._PowerWorkers() as workers:
+            with spectral._power_pool() as pool:
                 for start, stop in ranges:
-                    got.append(frame_band_powers(spec, bands, start, stop, workers=workers))
+                    got.append(frame_band_powers(spec, bands, start, stop, pool=pool))
 
         before, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
