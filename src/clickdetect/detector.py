@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from typing import Iterator, Literal, Sequence
 
@@ -168,7 +167,7 @@ class DetectionEvent:
 #: Frames whose gates one sorted window settles at once (``_BackgroundPass``).
 _BLOCK = 64
 #: Frames whose gated band powers are computed and fed to the background pass
-#: at once: 21.8 s at 48 kHz, and 32 of ``_PowerJob``'s blocks at window_len
+#: at once: 21.8 s at 48 kHz, and 32 of ``_map_power``'s blocks at window_len
 #: 1024, a whole number of them at every window_len.
 _CHUNK_FRAMES = 4096
 
@@ -351,23 +350,22 @@ class _BackgroundPass:
         self._open_run = run if self.burst[self.fed - 1] else None
 
 
-@contextmanager
 def _gated_band_power(
-    buffer: SampleBuffer, detector: ClickDetector, pool: ThreadPoolExecutor | None = None
-) -> Iterator[tuple[int, int, Iterator[np.ndarray]]]:
+    buffer: SampleBuffer, detector: ClickDetector, pool: ThreadPoolExecutor
+) -> tuple[int, int, Iterator[np.ndarray]]:
     """Per-frame power of the gated bands only, ``_CHUNK_FRAMES`` frames at a
     time: the burst bands, then the tail's.
 
     The frames are ``detector``'s ``window_len`` and ``hop``; the bands are
     the 1/3-octave grid from 100 Hz up to Nyquist. The tail bands are picked
     by center, so where the grid starts matters only to a ``tail_band_hz``
-    reaching below it. Entering gives the frame count, the number of burst
-    columns, and an iterator over the chunks of rows in frame order. Each
-    chunk is asked of ``frame_band_powers`` on the thread that takes it from
-    the iterator, on ``pool``, else on a ``_power_pool`` that ends with the
-    block. Entering raises, in this order, for a buffer
-    shorter than a window, a hop coarser than ``burst_min_s``, a tail band
-    above Nyquist, or no burst or tail band.
+    reaching below it. Returns the frame count, the number of burst columns,
+    and an iterator over the chunks of rows in frame order. Each chunk is
+    asked of ``frame_band_powers`` on the thread that takes it from the
+    iterator, on ``pool`` (a ``_power_pool``), which must outlive the
+    iterator. Raises, in this order, for a buffer shorter than a window, a
+    hop coarser than ``burst_min_s``, a tail band above Nyquist, or no burst
+    or tail band.
     """
     spec = stft(buffer, detector.window_len, detector.hop)
     rate = buffer.sample_rate_hz
@@ -391,11 +389,10 @@ def _gated_band_power(
         raise ValueError(f"no band centered inside tail_band_hz={detector.tail_band_hz}")
     gated = [bands[i] for i in burst_cols + tail_cols]
     n_frames = spec.n_frames
-    with _power_pool() if pool is None else nullcontext(pool) as pool:
-        yield n_frames, len(burst_cols), (
-            frame_band_powers(spec, gated, start, min(start + _CHUNK_FRAMES, n_frames), pool=pool)
-            for start in range(0, n_frames, _CHUNK_FRAMES)
-        )
+    return n_frames, len(burst_cols), (
+        frame_band_powers(spec, gated, start, min(start + _CHUNK_FRAMES, n_frames), pool=pool)
+        for start in range(0, n_frames, _CHUNK_FRAMES)
+    )
 
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -432,7 +429,8 @@ def detect_events(buffer: SampleBuffer, detector: ClickDetector) -> list[Detecti
     the higher score (ties keep the earlier onset).
     """
     hop, rate = detector.hop, buffer.sample_rate_hz
-    with _power_pool() as pool, _gated_band_power(buffer, detector, pool) as (n_frames, n_burst, chunks):
+    with _power_pool() as pool:
+        n_frames, n_burst, chunks = _gated_band_power(buffer, detector, pool)
         # A window as long as the recording already holds every earlier frame,
         # so capping there changes nothing and keeps a huge window's count finite.
         win = max(2, round(min(detector.background_window_s / (hop / rate), n_frames)))

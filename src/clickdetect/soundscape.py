@@ -20,6 +20,7 @@ import numpy as np
 
 from .audio_io import SampleBuffer, _as_float64, _owned_buffer, write_wav
 from .detector import ClickDetector, _burst_total, _gated_band_power, _require_finite, _require_power
+from .spectral import _power_pool
 
 __all__ = [
     "SimConfig",
@@ -238,7 +239,8 @@ def synth_click(sample_rate_hz: int, seed: int = 0) -> SampleBuffer:
 def _burst_track(buffer: SampleBuffer) -> np.ndarray:
     """Each frame's summed burst-band power under a default ``ClickDetector``'s
     front end, for the whole recording."""
-    with _gated_band_power(buffer, ClickDetector()) as (_, n_burst, chunks):
+    with _power_pool() as pool:
+        _, n_burst, chunks = _gated_band_power(buffer, ClickDetector(), pool)
         return np.concatenate([_burst_total(power, n_burst) for power in chunks])
 
 

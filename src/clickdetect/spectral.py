@@ -70,14 +70,14 @@ class Spectrogram:
 
     The power of frame k is one-sided |DFT|^2 of the Hann-windowed samples
     [k*hop, k*hop + window_len), interior bins doubled so each frame satisfies
-    Parseval. No power is stored: a ``_PowerJob`` computes it one block of
-    frames at a time, on the calling thread and the helper threads of a
-    ``_power_pool``. ``spectrogram_image`` consumes it block by block;
-    ``frame_band_powers`` sums half of it into bands and doubles the sums,
-    which keeps their bits. Each worker holds two buffers, the windowed
-    samples and their spectrum, about 2.1 MB at window_len 1024; a block's
-    power overwrites its windowed samples. The power does not depend on how
-    many CPUs compute it.
+    Parseval. No power is stored: ``_map_power`` computes half of it one
+    block of frames at a time, on the calling thread and the helper threads
+    of a ``_power_pool``. ``frame_band_powers`` sums the half power into
+    bands over half the norm, and ``spectrogram_image`` scales it by its
+    peak; halving is exact, so both keep the bits of the full power. Each
+    thread holds two buffers, the windowed samples and their spectrum, about
+    2.1 MB at window_len 1024; a block's power overwrites its windowed
+    samples. The power does not depend on how many CPUs compute it.
     """
 
     buffer: SampleBuffer
@@ -114,76 +114,14 @@ class Spectrogram:
             raise ValueError(f"frame range [{start}, {stop}) is empty or outside [0, {self.n_frames})")
         return start, stop
 
-    def _map_power_blocks(self, fn: Callable[[int, np.ndarray], _T]) -> list[_T]:
-        """``fn(first, power)`` for every block of frames, in block order
-        (``_PowerJob``), on a pool made for the call."""
-        return _run(_PowerJob(self, fn))
-
-
-class _PowerJob:
-    """``fn(first, power)`` for every block of frames [start, stop) of ``spec``.
-
-    ``power`` holds the power of frames first, first + 1, ...: up to
-    ``_STFT_BLOCK_SAMPLES // window_len`` rows, fewer in the last block. With
-    ``halved`` it holds half the power (``_onesided_power``). The blocks
-    start at ``start`` (frame 0 by default) and the last ends at ``stop``
-    (``n_frames`` by default). The windowed frames and their spectra never
-    exist for the whole range.
-
-    Each worker computes a block in two buffers of its own: the windowed
-    samples, and their spectrum. ``rfft`` has consumed the windowed samples
-    once the spectrum is made, so the power overwrites them. ``fn`` may
-    overwrite the power, which the worker's next block refills. So ``fn``
-    runs concurrently with itself and must write only outputs of its own
-    block. The power is computed row by row, so it depends neither on the
-    number of workers nor on the frame range.
-    """
-
-    def __init__(
-        self,
-        spec: Spectrogram,
-        fn: Callable[[int, np.ndarray], object],
-        start: int = 0,
-        stop: int | None = None,
-        halved: bool = False,
-    ) -> None:
-        start, stop = spec._frame_range(start, stop)
-        window_len, hop = spec.window_len, spec.hop
-        self.fn, self.start, self.halved, self.window = fn, start, halved, _scaled_hann(spec)
-        self.frames = np.lib.stride_tricks.sliding_window_view(spec.buffer._array, window_len)[start * hop : stop * hop : hop]
-        self.full_height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), spec.n_frames)
-        self.height = min(self.full_height, stop - start)
-        self.n_blocks = -(-(stop - start) // self.height)
-        self.results: list = [None] * self.n_blocks
-
-    def compute(self, block: int, buffers: threading.local) -> None:
-        """Compute ``block`` in the calling thread's ``buffers`` and hand it to ``fn``."""
-        window_len = len(self.window)
-        n_bins = window_len // 2 + 1
-        shape = (self.full_height, window_len)
-        mine = vars(buffers)
-        if shape not in mine:
-            mine[shape] = np.empty(shape), np.empty((self.full_height, n_bins), complex)
-        windowed, spectrum = mine[shape]
-        offset = block * self.height
-        rows = self.frames[offset : offset + self.height]
-        n = len(rows)
-        block_windowed = windowed[:n]
-        np.copyto(block_windowed, rows)  # widens float32 samples and int16 codes exactly
-        block_windowed *= self.window
-        # The power's n rows of n_bins fill the front of the windowed buffer.
-        power = windowed.reshape(-1)[: n * n_bins].reshape(n, n_bins)
-        power = _onesided_power(block_windowed, out=power, halved=self.halved, spectrum=spectrum[:n])
-        self.results[block] = self.fn(self.start + offset, power)
-
 
 @contextmanager
 def _power_pool() -> Iterator[ThreadPoolExecutor]:
     """A pool of ``_usable_cpus() - 1`` helper threads, at least one, for
-    ``_run``; with the thread that runs a job, one thread per CPU. Each
-    thread keeps its buffers (``_PowerJob.compute``) in ``pool.buffers``, so
-    they are freed with the pool. Leaving the block cancels what no helper
-    has begun and waits for the rest."""
+    ``_map_power``; with the thread that calls it, one thread per CPU. Each
+    thread keeps its two buffers in ``pool.buffers``, so they are freed with
+    the pool. Leaving the block cancels what no helper has begun and waits
+    for the rest."""
     pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="band-power helper")
     pool.buffers = threading.local()
     try:
@@ -192,23 +130,54 @@ def _power_pool() -> Iterator[ThreadPoolExecutor]:
         pool.shutdown(cancel_futures=True)
 
 
-def _run(job: _PowerJob, pool: ThreadPoolExecutor | None = None) -> list:
-    """Compute ``job``'s blocks on the calling thread and ``pool``'s helpers
-    (a pool made for the call if None), and return their results in block
-    order. The calling thread takes every block no helper has begun, so it
-    never waits while a block is left; an error raised on a helper is
-    raised here."""
-    if pool is None:
-        with _power_pool() as pool:
-            return _run(job, pool)
-    futures = [pool.submit(job.compute, block, pool.buffers) for block in range(job.n_blocks)]
-    for block, future in enumerate(futures):
-        if future.cancel():
-            job.compute(block, pool.buffers)
-    for future in futures:
-        if not future.cancelled():
-            future.result()
-    return job.results
+def _map_power(
+    spec: Spectrogram,
+    fn: Callable[[int, np.ndarray], _T],
+    pool: ThreadPoolExecutor,
+    start: int = 0,
+    stop: int | None = None,
+) -> list[_T]:
+    """``fn(first, power)`` for every block of frames [start, stop) of ``spec``
+    (all frames by default), on the calling thread and ``pool``'s helpers;
+    ``fn``'s results in block order.
+
+    ``power`` holds half the power (``_onesided_power``) of frames first,
+    first + 1, ...: up to ``_STFT_BLOCK_SAMPLES // window_len`` rows, fewer
+    in the last block. Each thread computes a block in its two buffers: the
+    windowed samples, and their spectrum. ``rfft`` has consumed the windowed
+    samples once the spectrum is made, so the power overwrites them. ``fn``
+    may overwrite the power, which the thread's next block refills. So
+    ``fn`` runs concurrently with itself and must write only outputs of its
+    own block. The power is computed row by row, so it depends neither on
+    the number of threads nor on the frame range. The calling thread takes
+    every block no helper has begun, so it never waits while a block is
+    left; an error raised on a helper is raised here.
+    """
+    start, stop = spec._frame_range(start, stop)
+    window_len, hop, n_bins = spec.window_len, spec.hop, spec.n_bins
+    window = _scaled_hann(spec)
+    frames = np.lib.stride_tricks.sliding_window_view(spec.buffer._array, window_len)[start * hop : stop * hop : hop]
+    full_height = min(max(1, _STFT_BLOCK_SAMPLES // window_len), spec.n_frames)
+    height = min(full_height, stop - start)
+    shape = (full_height, window_len)
+
+    def compute(offset: int) -> _T:
+        mine = vars(pool.buffers)
+        if shape not in mine:
+            mine[shape] = np.empty(shape), np.empty((full_height, n_bins), complex)
+        windowed, spectrum = mine[shape]
+        rows = frames[offset : offset + height]
+        n = len(rows)
+        block = windowed[:n]
+        np.copyto(block, rows)  # widens float32 samples and int16 codes exactly
+        block *= window
+        # The power's n rows of n_bins fill the front of the windowed buffer.
+        power = windowed.reshape(-1)[: n * n_bins].reshape(n, n_bins)
+        return fn(start + offset, _onesided_power(block, out=power, spectrum=spectrum[:n]))
+
+    futures = {offset: pool.submit(compute, offset) for offset in range(0, stop - start, height)}
+    taken = {offset: compute(offset) for offset, future in futures.items() if future.cancel()}
+    return [taken[offset] if offset in taken else future.result() for offset, future in futures.items()]
 
 
 @dataclass(frozen=True)
@@ -240,26 +209,20 @@ def _scaled_hann(spec: Spectrogram) -> np.ndarray:
 
 
 def _onesided_power(
-    frames: np.ndarray, out: np.ndarray | None = None, halved: bool = False, spectrum: np.ndarray | None = None
+    frames: np.ndarray, out: np.ndarray | None = None, spectrum: np.ndarray | None = None
 ) -> np.ndarray:
-    """One-sided |DFT|^2 of each row of ``frames``, interior bins doubled so
-    the row satisfies Parseval; with ``halved``, half of that, which spares
-    doubling the interior bins. Halving DC and Nyquist is exact, bar a
-    subnormal power, so a sum of halved bins, doubled, has the bits of the
-    sum of the doubled ones. ``spectrum``, when given, receives the complex
-    DFT, which is otherwise a new array."""
+    """Half the one-sided |DFT|^2 of each row of ``frames``: |DFT|^2 of the
+    interior bins, half of it at DC and Nyquist. Doubled, the row satisfies
+    Parseval. Halving is exact, bar a subnormal power, so a sum or ratio of
+    half powers, rescaled by a power of two, has the bits of the full
+    power's. ``spectrum``, when given, receives the complex DFT, which is
+    otherwise a new array."""
     spectrum = np.fft.rfft(frames, axis=-1, out=spectrum)
     power = np.abs(spectrum, out=out)
     np.square(power, out=power)
-    even = frames.shape[-1] % 2 == 0
-    if halved:
-        power[..., 0] *= 0.5
-        if even:
-            power[..., -1] *= 0.5
-    elif even:
-        power[..., 1:-1] *= 2.0  # DC and Nyquist appear once
-    else:
-        power[..., 1:] *= 2.0
+    power[..., 0] *= 0.5  # DC and Nyquist appear once
+    if frames.shape[-1] % 2 == 0:
+        power[..., -1] *= 0.5
     return power
 
 
@@ -344,7 +307,7 @@ def band_powers(buffer: SampleBuffer, bands: Sequence[Band]) -> BandPowerProfile
     # numpy transforms float32 in float32; widened, the periodogram keeps float64 bits.
     x = _as_float64(buffer)
     n = x.size
-    periodogram = _onesided_power(x[np.newaxis, :])[0] / (n * n)  # sums to mean(x^2)
+    periodogram = _onesided_power(x[np.newaxis, :])[0] / (0.5 * n * n)  # sums to mean(x^2)
     freqs = np.arange(periodogram.size) * (buffer.sample_rate_hz / n)
     totals = np.zeros(len(kept))
     _band_summer(freqs, kept)(periodogram, totals)
@@ -367,9 +330,13 @@ def frame_band_powers(
     summing to ~s^2, directly comparable with ``band_powers``. Each band is
     summed over its own bins alone, so its column does not depend on which
     other bands are asked for, nor on the block layout or the frame range.
-    The blocks are computed on the calling thread and the helpers of
-    ``pool`` (``_power_pool``), else of a pool made for the call.
+    The blocks of half power are computed on the calling thread and the
+    helpers of ``pool`` (``_power_pool``), else of a pool made for the call,
+    and their band sums divided by half the norm.
     """
+    if pool is None:
+        with _power_pool() as pool:
+            return frame_band_powers(spec, bands, start, stop, pool=pool)
     start, stop = spec._frame_range(start, stop)
     sum_into = _band_summer(spec.bin_frequencies_hz, bands)
     half_norm = 0.5 * (spec.window_len * float(np.sum(_hann(spec.window_len) ** 2)))
@@ -380,7 +347,7 @@ def frame_band_powers(
         sum_into(half_power, rows)
         rows /= half_norm  # the band sums of the full power, over norm
 
-    _run(_PowerJob(spec, sum_block, start, stop, halved=True), pool)
+    _map_power(spec, sum_block, pool, start, stop)
     return out
 
 
@@ -390,14 +357,14 @@ def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80
     One column per frame, one row per bin with low frequencies at the bottom.
     Power is mapped log-scale relative to the spectrogram's peak: db_floor and
     below -> 0, 0 dB (the peak) -> 255. An all-zero spectrogram is all black.
-    Two passes over the power blocks, one for the peak and one for the
-    pixels, keep the memory to about the image's own size plus one block
-    per worker.
+    Two passes over the blocks of half power on one ``_power_pool``, one for
+    the peak and one for the pixels, keep the memory to about the image's own
+    size plus one block per thread. Half power over half the peak is the
+    full power's ratio, bit for bit.
     """
     if not -math.inf < db_floor < 0:
         raise ValueError(f"db_floor must be finite and negative, got {db_floor}")
     n_frames = spec.n_frames
-    peak = max(spec._map_power_blocks(lambda start, block: float(block.max())))
     image = np.zeros((spec.n_bins, n_frames), dtype=np.uint8)
 
     def paint(start: int, power: np.ndarray) -> None:
@@ -415,8 +382,10 @@ def spectrogram_image(spec: Spectrogram, path: str | Path, db_floor: float = -80
         # rows top->bottom = bins high->low; columns left->right = frames
         image[::-1, start : start + len(power)] = np.rint(power, out=power).T
 
-    if peak > 0.0:
-        spec._map_power_blocks(paint)
+    with _power_pool() as pool:
+        peak = max(_map_power(spec, lambda start, block: float(block.max()), pool))
+        if peak > 0.0:
+            _map_power(spec, paint, pool)
     with Path(path).open("wb") as out:
         out.write(f"P5\n{n_frames} {spec.n_bins}\n255\n".encode("ascii"))
         image.tofile(out)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clickdetect.audio_io import SampleBuffer
-from clickdetect.spectral import _hann
+from clickdetect.spectral import _hann, _map_power, _power_pool
 
 RATE = 48000
 
@@ -28,9 +28,11 @@ def power_matrix(spec) -> np.ndarray:
 def blocked_power(spec) -> np.ndarray:
     """The [n_frames x n_bins] power of a spectrogram, assembled from its blocks.
 
-    Each block is copied: a worker reuses one buffer for all its blocks.
+    Each block is copied: a worker reuses one buffer for all its blocks. The
+    blocks hold half the power, so doubling them is exact.
     """
-    return np.concatenate(spec._map_power_blocks(lambda start, block: block.copy()))
+    with _power_pool() as pool:
+        return 2.0 * np.concatenate(_map_power(spec, lambda start, block: block.copy(), pool))
 
 
 def chunk(cid: bytes, body: bytes) -> bytes:

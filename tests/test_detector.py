@@ -678,7 +678,8 @@ class TestChunkedDetection:
         hop, window_len = detector.hop, detector.window_len
         want = detector.predict(mix)
         [event] = want
-        with _gated_band_power(mix, detector) as (_, n_burst, chunks):
+        with spectral._power_pool() as pool:
+            _, n_burst, chunks = _gated_band_power(mix, detector, pool)
             totals = np.concatenate([_burst_total(power, n_burst) for power in chunks])
         first = round((event.onset_s * RATE - window_len + hop) / hop)
         stop = first + round((event.burst_duration_s * RATE - hop + window_len) / hop)

@@ -272,11 +272,13 @@ class TestMixAtSnr:
     def test_measured_snr_matches_target(self, rate, target, tol):
         # oracle: the detector's burst-band power of the mix vs the noise's average
         from clickdetect.detector import ClickDetector, _gated_band_power
+        from clickdetect.spectral import _power_pool
 
         detector = ClickDetector()
 
         def burst_track(buffer):
-            with _gated_band_power(buffer, detector) as (_, n_burst, chunks):
+            with _power_pool() as pool:
+                _, n_burst, chunks = _gated_band_power(buffer, detector, pool)
                 return np.concatenate([power[:, :n_burst].sum(axis=1) for power in chunks])
 
         cfg = SimConfig(sample_rate_hz=rate, seed=14, duration_s=8.0, click_times_s=(4.0,), target_snr_db=target)

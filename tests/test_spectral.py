@@ -218,6 +218,26 @@ class TestBandPowers:
         np.testing.assert_allclose(profile.power_db, expected, rtol=0, atol=1e-9)
         assert profile.power_db[0] == -300.0
 
+    @pytest.mark.parametrize("n", [RATE, RATE + 1])
+    def test_each_band_is_its_slice_sum_bit_for_bit(self, rng, n):
+        # The bits of `clickdetect bands` and `depth-sweep`: each band is the
+        # sum of its own bins of the Parseval periodogram, left to right.
+        x = 0.1 * rng.standard_normal(n)
+        nyquist = RATE / 2
+        bands = [Band(0.3, 0.2, 0.4)] + third_octave_bands(20, nyquist) + [Band(23000.0, 22500.0, nyquist)]
+        spectrum = np.abs(np.fft.rfft(x)) ** 2
+        spectrum[1 : spectrum.size - (n % 2 == 0)] *= 2.0  # DC and an even length's Nyquist appear once
+        spectrum /= n * n
+        freqs = np.arange(spectrum.size) * (RATE / n)
+        totals = np.zeros(len(bands))
+        for i, band in enumerate(bands):
+            members = np.flatnonzero((freqs >= band.lower_hz) & (freqs < band.upper_hz))
+            if members.size:
+                j0, j1 = members[0], members[-1] + 1
+                totals[i] = np.add.reduceat(spectrum[:j1], [j0])[0]
+        expected = 10.0 * np.log10(np.maximum(totals, 1e-30))
+        assert np.array_equal(band_powers(SampleBuffer(x, RATE), bands).power_db, expected)
+
     def test_band_above_nyquist_absent_not_zero(self, rng):
         x = SampleBuffer(0.1 * rng.standard_normal(2 * 16000), 16000)
         bands = third_octave_bands(100, 30000)
@@ -372,7 +392,7 @@ class TestSpectrogramImage:
         spec = stft(SampleBuffer(np.zeros(4096), RATE), 1024, 256)
         power = np.zeros((spec.n_frames, spec.n_bins))
         power[3, 5] = 1.0
-        monkeypatch.setattr(Spectrogram, "_map_power_blocks", lambda self, fn: [fn(0, power)])
+        monkeypatch.setattr(spectral, "_map_power", lambda spec, fn, pool: [fn(0, power)])
         path = tmp_path / "cell.pgm"
         spectrogram_image(spec, path)
         w, h, img = parse_pgm(path.read_bytes())
@@ -461,6 +481,18 @@ class TestWorkers:
         spectrogram_image(spec, tmp_path / "x.pgm")
         assert threading.active_count() == before
 
+    def test_the_image_opens_one_pool_for_both_passes(self, tmp_path, rng, monkeypatch):
+        power_pool, opened = spectral._power_pool, []
+
+        def counted_pool():
+            opened.append(1)
+            return power_pool()
+
+        monkeypatch.setattr(spectral, "_power_pool", counted_pool)
+        spec = stft(SampleBuffer(0.1 * rng.standard_normal(RATE), RATE), 1024, 256)
+        spectrogram_image(spec, tmp_path / "x.pgm")
+        assert len(opened) == 1
+
     def test_a_helper_threads_error_reaches_the_caller(self, rng, monkeypatch):
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
         spec = stft(SampleBuffer(0.1 * rng.standard_normal(10 * RATE), RATE), 1024, 256)
@@ -473,7 +505,7 @@ class TestWorkers:
                 raise ArithmeticError(f"block at frame {start}")
 
         before = threading.active_count()
-        with pytest.raises(ArithmeticError, match="block at frame"):
-            spec._map_power_blocks(fail_off_the_caller)
+        with pytest.raises(ArithmeticError, match="block at frame"), spectral._power_pool() as pool:
+            spectral._map_power(spec, fail_off_the_caller, pool)
         assert helper_blocks  # the error was raised on a helper thread
         assert threading.active_count() == before
